@@ -36,12 +36,14 @@ tests byte-compare traces).  The techniques that make that hold:
 * *Identical RNG draw schedules.*  Degraded de-weighting draws
   ``rng.random(k)`` for the ``k`` degraded candidates in candidate order —
   bit-identical to ``k`` sequential scalar draws.
-* *Override nodes take the scalar lane.*  Power-cap ceilings and fault
-  injectors install instance-level ``core.set_frequency`` overrides that
-  must see one raw call per tick; both are installed before adoption
-  (coordinator start / harness arm), so the batch flags those nodes once
-  and routes their rows through the unmodified per-node
-  ``Cpu.set_frequencies`` path.
+* *Cap ceilings are row views too.*  ``Cpu.set_ceiling`` fills its row
+  of an ``[N, W]`` ceiling matrix, so the tick clamps every row with one
+  ``np.minimum`` before quantising, as ``Core.set_frequency`` does;
+  uncapped rows hold ``turbo``, which no raw frequency exceeds.
+* *Injector nodes take the scalar lane.*  Fault injectors install
+  instance-level ``core.set_frequency`` overrides that must see one raw
+  call per tick; armed before adoption (lifecycle start), their rows go
+  through the unmodified per-node ``Cpu.set_frequencies`` path first.
 * *Down nodes keep ticking.*  The lifecycle never stops a crashed node's
   controller (its parked cores just keep being re-asserted), so the
   batched tick deliberately includes down nodes too; the lifecycle masks
@@ -79,8 +81,8 @@ class FleetBatch:
 
     Build *after* the nodes exist but before any request flows; controller
     adoption happens later, once drivers / coordinator / lifecycle have
-    started (their ``core.set_frequency`` overrides must be in place so
-    the per-node override flags are final).
+    started (fault injectors' ``core.set_frequency`` overrides must be in
+    place so the per-node override flags are final).
     """
 
     def __init__(self, nodes: Sequence[ClusterNode]) -> None:
@@ -101,10 +103,15 @@ class FleetBatch:
         # ---- SoA state ------------------------------------------------------
         # Frequency matrix [N, C]: each cpu's listener-synced mirror becomes
         # a row view, so every DVFS write anywhere keeps it current.
+        # The cap ceiling [N, W] likewise (Cpu.set_ceiling fills its row;
+        # worker-shaped so the tick's clamp needs no broadcast).
         self.freqs = np.empty((n, c))
+        self.ceil = np.empty((n, w))
         for i, node in enumerate(self.nodes):
             self.freqs[i, :] = node.cpu._freqs
             node.cpu._freqs = self.freqs[i]
+            self.ceil[i, :] = node.cpu.ceiling
+            node.cpu._ceil = self.ceil[i]
         self._fw = self.freqs[:, :w]  # worker-core columns
         # Begin-times matrix [N, W]: the servers' incrementally-maintained
         # buffers become row views the same way.
@@ -259,15 +266,13 @@ class FleetBatch:
             self._coef[i, 0] = c.scaling_coef
             c._params_listener = self._make_params_hook(i)
             c._task.stop()
-        # Nodes whose cores carry instance-level set_frequency overrides
-        # (power-cap ceilings, actuator faults) take the per-node scalar
-        # apply lane; overrides are static for the run by construction.
-        self._ov_rows = [
-            i
-            for i, node in enumerate(self.nodes)
+        # Nodes with fault injectors (instance-level set_frequency overrides)
+        # take the per-node scalar apply lane; injectors are static per run.
+        self._ov_rows = ov = [
+            i for i, node in enumerate(self.nodes)
             if any("set_frequency" in core.__dict__ for core in node.cpu.cores[:w])
         ]
-        self._win_rows = [(i, c) for i, c in enumerate(ctrls) if c._win]
+        self._win_rows = [(i, c) for i, c in enumerate(ctrls) if c._win and i not in ov]
         # Reused per-tick buffers (the fleet tick must not allocate).
         self._scores_buf = np.empty((n, w))
         self._raw_buf = np.empty((n, w))
@@ -295,9 +300,9 @@ class FleetBatch:
     def _tick_all(self) -> None:
         """Algorithm 1 for every worker core of every node, one event.
 
-        Same per-element IEEE operations as the per-node tick; only DVFS
-        levels that changed get a write (via each core's listener the
-        writes land straight back in the frequency matrix rows).
+        Same per-element IEEE operations as the per-node tick, ceiling clamp
+        included; only DVFS levels that changed get a write (via each core's
+        listener the writes land straight back in the frequency matrix rows).
         """
         now = self._engine.now
         b = self.begins
@@ -313,16 +318,18 @@ class FleetBatch:
         np.multiply(s, self._fspan, out=raw)
         raw += self._fmin
         np.copyto(raw, self._turbo, where=self._turbo_mask)
+        # Clamp into the spent score buffer: the injector lane needs raw.
+        np.minimum(raw, self.ceil, out=s)
         q = self._quant_buf
-        self._table.quantize_into(raw.reshape(-1), q.reshape(-1))
+        self._table.quantize_into(s.reshape(-1), q.reshape(-1))
         diff = self._diff_mask
         np.not_equal(q, self._fw, out=diff)
         if self._ov_rows:
             w = self.num_workers
             for i in self._ov_rows:
                 diff[i, :] = False
-                # Overridden cores must see one raw write per tick (RNG
-                # draws, cap clamps) — the unmodified per-node path.
+                # Injected cores must see one raw write per tick (RNG
+                # draws) — the unmodified per-node path.
                 applied = self.nodes[i].cpu.set_frequencies(raw[i], count=w)
                 ctrl = self._controllers[i]
                 if ctrl._win:
@@ -333,8 +340,7 @@ class FleetBatch:
             for r, c in zip(rows.tolist(), cols.tolist()):
                 nodes[r].cpu.cores[c].set_frequency(float(q[r, c]), quantize=False)
         for i, ctrl in self._win_rows:
-            if i not in self._ov_rows:
-                ctrl._win_observe(float(q[i].mean()))
+            ctrl._win_observe(float(q[i].mean()))
         self._tick_total += 1
         if self._live_tick_counts:
             for ctrl in self._controllers:

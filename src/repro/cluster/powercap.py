@@ -20,12 +20,12 @@ managers do:
    target.  A ceiling below turbo revokes turbo eligibility; below fmax
    it throttles the sustained range too.
 
-Ceilings are enforced by :class:`FrequencyCap`, which installs
-instance-level ``core.set_frequency`` overrides — the same mechanism the
-fault injectors use, which the batched
-:meth:`~repro.cpu.topology.Cpu.set_frequencies` path already detects and
-routes through — so *every* policy (baselines and the DeepPower thread
-controller alike) is capped without modification.
+Ceilings are enforced by :class:`FrequencyCap`, which moves the cores'
+own frequency ceiling (:meth:`~repro.cpu.topology.Cpu.set_ceiling`):
+every DVFS write — ``Core.set_frequency``, the batched
+:meth:`~repro.cpu.topology.Cpu.set_frequencies` and the fleet-batched
+tick — clamps to it before quantising, so *every* policy (baselines and
+the DeepPower thread controller alike) is capped without modification.
 
 Because ceilings are chosen against worst-case node power, the sum of
 per-node worst cases never exceeds the apportioned targets: steady-state
@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cpu.core import Core
 from ..cpu.topology import Cpu
 from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
@@ -52,50 +51,21 @@ __all__ = ["FrequencyCap", "CapWindow", "PowerCapCoordinator"]
 class FrequencyCap:
     """Clamp every DVFS write on a socket to a movable frequency ceiling.
 
-    Installs an instance-level ``set_frequency`` override on each core
-    (chaining whatever override — e.g. a fault injector — is already
-    there).  The batched ``Cpu.set_frequencies`` fast path detects the
-    instance override and falls back to per-core calls, so the cap holds
-    on both the scalar and the vectorised path.
+    The ceiling is the cores' own (``Cpu.set_ceiling``), so no wrapper
+    sits on the write path: fault injectors still see every raw call and
+    the batched paths stay vectorised.
     """
 
     def __init__(self, cpu: Cpu) -> None:
         self.cpu = cpu
-        self.ceiling = cpu.table.turbo
-        self._installed = False
-        self._wrapped: List[Tuple[Core, Optional[Any]]] = []
 
-    def install(self) -> None:
-        if self._installed:
-            return
-        self._installed = True
-        for core in self.cpu.cores:
-            prior = core.__dict__.get("set_frequency")
-            inner = core.set_frequency  # bound method or prior override
-
-            def capped(freq: float, *, quantize: bool = True, _inner=inner) -> float:
-                return _inner(min(freq, self.ceiling), quantize=quantize)
-
-            core.set_frequency = capped
-            self._wrapped.append((core, prior))
-
-    def uninstall(self) -> None:
-        if not self._installed:
-            return
-        self._installed = False
-        for core, prior in self._wrapped:
-            if prior is None:
-                del core.__dict__["set_frequency"]
-            else:
-                core.set_frequency = prior
-        self._wrapped.clear()
+    @property
+    def ceiling(self) -> float:
+        return self.cpu.ceiling
 
     def set_ceiling(self, ceiling: float) -> None:
         """Move the ceiling (a table level) and clamp cores already above it."""
-        self.ceiling = ceiling
-        for core in self.cpu.cores:
-            if core.frequency > ceiling:
-                core.set_frequency(ceiling)
+        self.cpu.set_ceiling(ceiling)
 
 
 @dataclass(frozen=True)
@@ -219,8 +189,6 @@ class PowerCapCoordinator:
     def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("PowerCapCoordinator already started")
-        for cap in self.caps:
-            cap.install()
         self._last_energy = np.array([n.monitor.total_energy() for n in self.nodes])
         self._last_time = self.engine.now
         # Run after the per-node policies' control tasks at shared
@@ -236,8 +204,9 @@ class PowerCapCoordinator:
         if self._task is not None:
             self._task.stop()
             self._task = None
+        # Release the cap: every socket gets its full DVFS range back.
         for cap in self.caps:
-            cap.uninstall()
+            cap.set_ceiling(cap.cpu.table.turbo)
 
     # ------------------------------------------------------------ coordination
 

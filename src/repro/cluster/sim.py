@@ -446,8 +446,9 @@ class ClusterSim:
             )
         # Batched fleet stepping: stack per-node state into fleet-wide
         # arrays and route dispatch / power-cap reads through them.  Built
-        # last so every override the coordinator or fault harness installs
-        # is already in place when the batch snapshots node state.
+        # once the nodes exist; controller adoption waits until run() has
+        # started the lifecycle, whose fault harnesses install the injector
+        # overrides adoption looks for.
         self.batch: Optional[FleetBatch] = None
         if config.batched_stepping:
             self.batch = FleetBatch(self.nodes)
@@ -467,8 +468,8 @@ class ClusterSim:
         tasks.  DeepPower fleets under a fault plan are excluded because
         the resilience watchdog stops/starts individual controllers
         mid-run.  Called after every driver, the coordinator and the
-        lifecycle have started, so frequency overrides are all installed
-        and the adoption validation sees the final tick topology.
+        lifecycle have started, so fault-injector overrides are all
+        installed and the adoption validation sees the final tick topology.
         """
         if self.batch is None:
             return
@@ -492,11 +493,6 @@ class ClusterSim:
 
     # -------------------------------------------------------------- telemetry
 
-    def _node_ceiling(self, idx: int) -> float:
-        if self.coordinator is not None:
-            return self.coordinator.caps[idx].ceiling
-        return self.nodes[idx].cpu.table.turbo
-
     def _emit_node_windows(self) -> None:
         tw = self._trace_writer
         now = self.engine.now
@@ -518,7 +514,7 @@ class ClusterSim:
                 routed=node.routed,
                 completed=node.server.metrics.completed,
                 timeouts=node.server.metrics.timeouts,
-                ceiling=self._node_ceiling(i),
+                ceiling=node.cpu.ceiling,
             )
             self._win_energy[i] = energy
         self._win_time = now

@@ -39,6 +39,9 @@ class Core:
         DVFS frequency table; initial frequency is ``table.fmax``.
     power_model:
         Analytic power model used for energy integration.
+
+    ``ceiling`` caps every write (a power cap's DVFS ceiling; default
+    ``table.turbo``, which clamps nothing) — see ``Cpu.set_ceiling``.
     """
 
     def __init__(
@@ -54,6 +57,7 @@ class Core:
         self.power_model = power_model
 
         self._freq = table.fmax
+        self.ceiling = table.turbo
         self._busy = False
         self._energy = 0.0
         self._busy_time = 0.0
@@ -84,8 +88,10 @@ class Core:
 
         Equivalent to writing ``scaling_setspeed`` under the userspace
         governor: the request snaps to a P-state, and a no-op write (same
-        level) costs nothing.
+        level) costs nothing.  Requests clamp to ``ceiling`` first.
         """
+        if freq > self.ceiling:
+            freq = self.ceiling
         f = self.table.quantize(freq) if quantize else freq
         if f == self._freq:
             return f

@@ -57,10 +57,13 @@ class Cpu:
             Core(engine, i, table, power_model) for i in range(num_cores)
         ]
         self._created_at = engine.now
-        # Listener-synced mirror of per-core frequencies plus scratch
+        # Listener-synced mirror of per-core frequencies, the socket ceiling
+        # (set_ceiling fills it; a fleet batch reads it) plus scratch
         # buffers for the batched (vector-quantised) set_frequencies path.
         self._freqs = np.full(num_cores, table.fmax)
+        self._ceil = np.full(1, table.turbo)
         self._apply_buf = np.empty(num_cores)
+        self._clamp_buf = np.empty(num_cores)
         for core in self.cores:
             core.add_frequency_listener(self._note_freq_change)
 
@@ -84,6 +87,20 @@ class Cpu:
 
     # ----------------------------------------------------------------- control
 
+    @property
+    def ceiling(self) -> float:
+        """Highest frequency any DVFS write on this socket may apply (GHz)."""
+        return self.cores[0].ceiling
+
+    def set_ceiling(self, ceiling: float) -> None:
+        """Move every core's frequency ceiling (a table level) and clamp
+        cores already above it with one ``set_frequency`` call each."""
+        self._ceil.fill(ceiling)
+        for core in self.cores:
+            core.ceiling = ceiling
+            if core.frequency > ceiling:
+                core.set_frequency(ceiling)
+
     def set_all_frequencies(self, freq: float) -> None:
         """Set every core to ``freq`` (quantised)."""
         for core in self.cores:
@@ -98,7 +115,8 @@ class Cpu:
         core count; with ``count=k`` only ``cores[:k]`` are driven from
         ``freqs[:k]`` (the thread controller scales worker cores only).
 
-        Only cores whose quantised level actually changes are touched, so a
+        Requests are clamped to the socket's :attr:`ceiling`, then
+        quantised; only cores whose level actually changes are touched, so a
         1 ms tick that moves two of twenty cores costs two DVFS writes, not
         twenty no-op calls.  Quantisation runs as one numpy pass above
         :data:`SCALAR_BATCH_CUTOFF` cores and as a tuned scalar loop below
@@ -107,10 +125,10 @@ class Cpu:
         ``cores[:k]`` in a buffer that is *reused across calls* — copy to
         retain.
 
-        When fault injection has wrapped a core's ``set_frequency`` (an
-        instance-level override), the batched fast path would change how
-        many faulted writes the injector sees; in that case every core gets
-        its historic one-call-per-core write with the raw frequency.
+        When a fault injector has wrapped a core's ``set_frequency`` (an
+        instance-level override), skipping no-op writes would change how
+        many faulted writes the injector sees; such cores get their historic
+        one-call-per-core write with the raw frequency.
         """
         cores = self.cores
         n = len(cores) if count is None else int(count)
@@ -135,7 +153,7 @@ class Cpu:
                     # the same call count and RNG draws.
                     applied[i] = c.set_frequency(float(vals[i]))
                     continue
-                q = quantize(vals[i])
+                q = quantize(c.ceiling if vals[i] > c.ceiling else vals[i])
                 applied[i] = q
                 if q != c._freq:
                     c.set_frequency(q, quantize=False)
@@ -146,7 +164,8 @@ class Cpu:
                 applied[i] = cores[i].set_frequency(float(freqs[i]))
             return applied
         f = np.asarray(freqs, dtype=float)
-        self.table.quantize_into(f[:n], applied)
+        clamped = np.minimum(f[:n], self.ceiling, out=self._clamp_buf[:n])
+        self.table.quantize_into(clamped, applied)
         for i in np.nonzero(applied != self._freqs[:n])[0]:
             cores[i].set_frequency(float(applied[i]), quantize=False)
         return applied

@@ -6,8 +6,10 @@ redistribution).  This package replaces that *apportioning decision* with
 a fleet-level DRL agent — the two-level scheme of HiDVFS and Liu et al.'s
 hierarchical cloud framework (PAPERS.md) — while keeping the enforcement
 path untouched: targets still become per-node DVFS ceilings through
-``_ceiling_for`` + :class:`~repro.cluster.powercap.FrequencyCap`, so the
-cap stays guaranteed by construction no matter what the agent emits.
+``_ceiling_for`` + :class:`~repro.cluster.powercap.FrequencyCap`, which
+sets the cores' own write ceiling (so capped fleets keep the batched
+tick), and the cap stays guaranteed by construction no matter what the
+agent emits.
 
 * :class:`HierConfig` — frozen, picklable description of the layer; a
   ``ClusterConfig.hier`` of ``None`` (the default) keeps fleet runs

@@ -5,11 +5,13 @@ import pytest
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.powercap import FrequencyCap, PowerCapCoordinator
-from repro.cluster.sim import fleet_power_budget
+from repro.cluster.sim import ClusterConfig, ClusterSim, fleet_power_budget
 from repro.cpu.dvfs import DEFAULT_TABLE
 from repro.cpu.power import DEFAULT_POWER_MODEL
+from repro.faults import standard_chaos_plan
 from repro.sim.engine import Engine
 from repro.workload.apps import get_app
+from repro.workload.trace import constant_trace
 
 
 def _nodes(n=2, cores=2, seed=3):
@@ -25,7 +27,6 @@ class TestFrequencyCap:
         _, nodes = _nodes(1)
         cpu = nodes[0].cpu
         cap = FrequencyCap(cpu)
-        cap.install()
         cap.set_ceiling(1.5)
         cpu.cores[0].set_frequency(cpu.table.turbo)
         assert cpu.cores[0].frequency == pytest.approx(1.5)
@@ -33,11 +34,18 @@ class TestFrequencyCap:
         cpu.cores[0].set_frequency(1.0)
         assert cpu.cores[0].frequency == pytest.approx(1.0)
 
+    def test_installs_no_instance_attribute(self):
+        _, nodes = _nodes(1)
+        cpu = nodes[0].cpu
+        FrequencyCap(cpu).set_ceiling(1.2)
+        assert all("set_frequency" not in core.__dict__ for core in cpu.cores)
+        assert all(core.ceiling == 1.2 for core in cpu.cores)
+        assert cpu.ceiling == 1.2
+
     def test_batched_path_respects_cap(self):
         _, nodes = _nodes(1, cores=3)
         cpu = nodes[0].cpu
         cap = FrequencyCap(cpu)
-        cap.install()
         cap.set_ceiling(1.2)
         cpu.set_all_frequencies(cpu.table.turbo)
         assert np.all(cpu.frequencies() <= 1.2 + 1e-12)
@@ -47,17 +55,18 @@ class TestFrequencyCap:
         cpu = nodes[0].cpu
         cpu.cores[0].set_frequency(cpu.table.turbo)
         cap = FrequencyCap(cpu)
-        cap.install()
         cap.set_ceiling(1.0)
         assert cpu.cores[0].frequency == pytest.approx(1.0)
 
     def test_uninstall_restores_full_range(self):
-        _, nodes = _nodes(1)
+        # Stopping the coordinator uninstalls the cap: ceilings go to turbo.
+        engine, nodes = _nodes(1)
         cpu = nodes[0].cpu
-        cap = FrequencyCap(cpu)
-        cap.install()
-        cap.set_ceiling(1.0)
-        cap.uninstall()
+        coord = PowerCapCoordinator(engine, nodes, 10.0)
+        coord.start()
+        coord.caps[0].set_ceiling(1.0)
+        coord.stop()
+        assert coord.caps[0].ceiling == cpu.table.turbo
         cpu.cores[0].set_frequency(cpu.table.turbo)
         assert cpu.cores[0].frequency == pytest.approx(cpu.table.turbo)
 
@@ -74,12 +83,37 @@ class TestFrequencyCap:
 
         core.set_frequency = spy  # e.g. a fault injector
         cap = FrequencyCap(cpu)
-        cap.install()
         cap.set_ceiling(1.3)
+        # Clamping a core already above the new ceiling goes through it.
+        assert calls == [1.3]
         core.set_frequency(cpu.table.turbo)
-        assert calls and max(calls) <= 1.3 + 1e-12
-        cap.uninstall()
+        # The wrapper sees the raw request; the core applies the ceiling.
+        assert calls == [1.3, cpu.table.turbo]
+        assert core.frequency == pytest.approx(1.3)
+        cpu.set_frequencies([cpu.table.turbo, cpu.table.turbo])
+        assert calls == [1.3] + [cpu.table.turbo] * 2
+        assert np.all(cpu.frequencies() == 1.3)
         assert core.__dict__["set_frequency"] is spy
+
+
+class TestCapWithChaos:
+    """Stopping the coordinator must leave fault injectors in place."""
+
+    def test_stop_keeps_injectors_and_releases_ceilings(self):
+        config = ClusterConfig(
+            app="xapian", num_nodes=4, cores_per_node=2, seed=11,
+            power_cap_watts=fleet_power_budget(4, 2, fraction=0.5),
+            fault_plan=standard_chaos_plan(0.6, 4, 2.0, seed=5),
+        )
+        rps = get_app("xapian").rps_for_load(0.5, 8)
+        sim = ClusterSim(config, constant_trace(rps, 2.0))
+        sim.run()
+        assert sim.coordinator.throttled_windows > 0  # the cap did bite
+        for node in sim.nodes:
+            for core in node.cpu.cores:
+                assert "set_frequency" in core.__dict__  # injector wrapper
+                assert core.ceiling == node.cpu.table.turbo
+            assert node.cpu.ceiling == node.cpu.table.turbo
 
 
 class TestApportion:

@@ -4,7 +4,8 @@ The load-bearing guarantee of the cross-node vectorisation: with
 ``stepping="batched"``, :class:`~repro.cluster.sim.ClusterSim` produces
 **byte-identical** node-tagged traces and **identical** FleetMetrics to
 the per-node scalar path, on every configuration — plain fleets, chaos
-fleets mid-fault, power-capped fleets, and long soak-style runs — at
+fleets mid-fault, power-capped fleets (the cap's stacked clamp and the
+injector lane, alone and mixed), and long soak-style runs — at
 fleet sizes on both sides of the batching cutover.
 
 (The soak *experiment* itself — ``repro.experiments.soak`` — drives
@@ -24,7 +25,8 @@ from repro.cluster import (
     fleet_power_budget,
 )
 from repro.cluster.batch import SCALAR_BATCH_CUTOFF, FleetBatch
-from repro.faults import standard_chaos_plan
+from repro.cpu.core import Core
+from repro.faults import FaultEvent, FaultPlan, FleetFaultPlan, standard_chaos_plan
 from repro.obs import Observability
 from repro.parallel import content_key
 from repro.workload.apps import get_app
@@ -120,6 +122,84 @@ class TestParityLargeFleet:
             power_cap_watts=fleet_power_budget(64, 2, fraction=0.5),
             fault_plan=_chaos(64, 2.0),
         )
+
+
+class TestParityCapLane:
+    """Cap ceilings ride the stacked tick (one clamp), while fault
+    injectors keep the per-node override lane.  A 0.5 budget fraction
+    only revokes turbo; 0.3 also throttles into the sustained range."""
+
+    def test_controller_powercap_at_peak(self, tmp_path):
+        _assert_parity(
+            tmp_path, nodes=64, duration=2.0, load=0.6,
+            policy="controller", routing="jsq",
+            power_cap_watts=fleet_power_budget(64, 2, fraction=0.5),
+        )
+
+    def test_deeppower_powercap(self, tmp_path):
+        # Live tick counts feed DRL steps while the cap throttles.
+        _assert_parity(
+            tmp_path, policy="deeppower", routing="jsq",
+            power_cap_watts=fleet_power_budget(4, 2, fraction=0.3),
+        )
+
+    def test_mixed_cap_and_injector_rows(self, tmp_path):
+        # Cap on every node, DVFS faults (failed and delayed writes, an
+        # offlined core) on the even nodes only: both lanes in one tick.
+        plans = tuple(
+            (i, FaultPlan(
+                seed=100 + i, dvfs_fail_prob=0.05, dvfs_delay_prob=0.05,
+                events=(FaultEvent(1.0, "actuator.offline", 0.5, target=1),),
+            ))
+            for i in range(0, 16, 2)
+        )
+        _assert_parity(
+            tmp_path, nodes=16, duration=3.0, load=0.6,
+            policy="controller", routing="jsq",
+            power_cap_watts=fleet_power_budget(16, 2, fraction=0.3),
+            fault_plan=FleetFaultPlan(node_plans=plans),
+        )
+
+    def _capped_sim(self, nodes=4):
+        rps = get_app(APP).rps_for_load(0.6, nodes * 2)
+        config = ClusterConfig(
+            app=APP, num_nodes=nodes, cores_per_node=2, seed=11,
+            stepping="batched", policy="controller", routing="jsq",
+            power_cap_watts=fleet_power_budget(nodes, 2, fraction=0.3),
+        )
+        return ClusterSim(config, constant_trace(rps, 2.0))
+
+    def test_capped_tick_writes_only_changed_levels(self, monkeypatch):
+        # No-op DVFS writes cost nothing in state but plenty in time: under
+        # a cap every write the batched fleet makes must switch a level.
+        writes = []
+        set_frequency = Core.set_frequency
+
+        def counted(core, freq, *, quantize=True):
+            writes.append(core)
+            return set_frequency(core, freq, quantize=quantize)
+
+        monkeypatch.setattr(Core, "set_frequency", counted)
+        sim = self._capped_sim(nodes=16)
+        sim.run()
+        assert sim.coordinator.throttled_windows > 0
+        assert len(writes) == sum(n.cpu.total_switches() for n in sim.nodes)
+
+    def test_injector_lane_sees_raw_requests(self):
+        sim = self._capped_sim()
+        core = sim.nodes[1].cpu.cores[0]
+        above_ceiling = []
+        inner = core.set_frequency
+
+        def spy(freq, *, quantize=True):  # stands in for a fault injector
+            above_ceiling.append(freq > core.ceiling)
+            return inner(freq, quantize=quantize)
+
+        core.set_frequency = spy
+        sim.run()
+        assert sim.batch._ov_rows == [1]  # capped rows stay on the stack
+        # The wrapper gets the controller's raw request; the core clamps.
+        assert any(above_ceiling)
 
 
 class TestCutover:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import ThreadController
 from repro.cpu import DEFAULT_POWER_MODEL, DEFAULT_TABLE, Cpu, PowerMonitor
 from repro.experiments.runner import build_context
+from repro.faults import ActuatorFaults, FaultPlan
 from repro.server import Server
 from repro.sim import Engine, RngRegistry
 from repro.workload import (
@@ -142,6 +143,72 @@ class TestControllerInvariants:
             ctx.engine.run_until(t)
             for w in ctx.server.workers:
                 assert w.core.frequency >= floor - 1e-9
+
+
+_FREQS = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
+_CEILINGS = st.sampled_from(DEFAULT_TABLE.levels)
+
+
+class TestCeilingInvariants:
+    @given(freq=_FREQS, ceiling=_CEILINGS, quantize=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_capped_core_write_is_quantised_min(self, freq, ceiling, quantize):
+        """A capped core applies ``quantize(min(f, ceiling))`` (or the bare
+        ``min`` when the caller already quantised)."""
+        cpu = Cpu(Engine(), 1)
+        cpu.set_ceiling(ceiling)
+        core = cpu.cores[0]
+        expected = min(freq, ceiling)
+        if quantize:
+            expected = DEFAULT_TABLE.quantize(expected)
+        assert core.set_frequency(freq, quantize=quantize) == expected
+        assert core.frequency == expected
+
+    @given(
+        rounds=st.lists(st.lists(_FREQS, min_size=20, max_size=20),
+                        min_size=1, max_size=3),
+        ceiling=_CEILINGS,
+        cores=st.sampled_from([4, 20]),  # scalar loop and numpy pass
+        wrapper=st.sampled_from(["none", "injector", "spy-even"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_capped_batch_write_equals_per_core_writes(
+        self, rounds, ceiling, cores, wrapper
+    ):
+        """``Cpu.set_frequencies`` on a capped socket leaves the same state,
+        returns the same levels and shows a wrapper the same raw calls as
+        one ``set_frequency`` per core."""
+
+        def build():
+            engine = Engine()
+            cpu = Cpu(engine, cores)
+            cpu.set_ceiling(ceiling)
+            calls = []
+            if wrapper == "injector":
+                plan = FaultPlan(seed=3, dvfs_fail_prob=0.3)
+                ActuatorFaults(engine, plan, np.random.default_rng(3), cpu).arm()
+            elif wrapper == "spy-even":
+                for core in cpu.cores[::2]:
+                    def spy(freq, *, quantize=True, _inner=core.set_frequency,
+                            _id=core.core_id):
+                        calls.append((_id, freq))
+                        return _inner(freq, quantize=quantize)
+
+                    core.set_frequency = spy
+            return cpu, calls
+
+        batched, batched_calls = build()
+        ref, ref_calls = build()
+        for freqs in rounds:
+            applied = batched.set_frequencies(np.array(freqs[:cores])).tolist()
+            expected = [c.set_frequency(f) for c, f in zip(ref.cores, freqs)]
+            assert applied == expected
+            assert batched.frequencies().tolist() == ref.frequencies().tolist()
+            assert all(f <= ceiling for f in applied)
+        assert batched_calls == ref_calls
+        assert [c.switch_count for c in batched.cores] == [
+            c.switch_count for c in ref.cores
+        ]
 
 
 class TestTraceInvariants:

@@ -40,10 +40,13 @@ tests byte-compare traces).  The techniques that make that hold:
   of an ``[N, W]`` ceiling matrix, so the tick clamps every row with one
   ``np.minimum`` before quantising, as ``Core.set_frequency`` does;
   uncapped rows hold ``turbo``, which no raw frequency exceeds.
-* *Injector nodes take the scalar lane.*  Fault injectors install
-  instance-level ``core.set_frequency`` overrides that must see one raw
-  call per tick; armed before adoption (lifecycle start), their rows go
-  through the unmodified per-node ``Cpu.set_frequencies`` path first.
+* *Injector rows stay on the stack.*  A fault injector sits in each
+  core's ``actuator`` slot and must vet one raw write per core per tick
+  (its RNG draws).  At adoption every injector's uniform buffer, cursor
+  and offline deadlines are re-pointed at rows of fleet matrices; the
+  tick then makes all offline/fail/delay decisions in one stacked pass
+  per worker column, and writes outside the tick (crash parking, cap
+  clamps) keep consuming the same per-node streams.
 * *Down nodes keep ticking.*  The lifecycle never stops a crashed node's
   controller (its parked cores just keep being re-asserted), so the
   batched tick deliberately includes down nodes too; the lifecycle masks
@@ -52,9 +55,11 @@ tests byte-compare traces).  The techniques that make that hold:
 Controller adoption is refused (returning ``False``, leaving per-node
 tasks running) whenever per-node semantics could diverge mid-run: a
 profiled (``bind_spans``) or trace-recording controller, heterogeneous
-timing/tables, or a DeepPower fleet under an active fault plan, whose
-watchdog may stop/start individual controllers.  Dispatch batching is
-unconditional — it is a pure re-expression of the candidate scan.
+timing/tables, a worker core whose ``actuator`` is not its node's
+:class:`~repro.faults.injectors.ActuatorFaults`, or a DeepPower fleet
+under an active fault plan, whose watchdog may stop/start individual
+controllers.  Dispatch batching is unconditional — it is a pure
+re-expression of the candidate scan.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..faults.injectors import UNIFORM_BLOCK, ActuatorFaults
 from ..sim.engine import PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
 from .node import DEGRADED, DOWN, ClusterNode
@@ -75,14 +81,18 @@ __all__ = ["FleetBatch", "SCALAR_BATCH_CUTOFF"]
 #: Both paths are bit-for-bit identical (the parity tests assert it).
 SCALAR_BATCH_CUTOFF = 16
 
+# Per-cell tick outcomes on injector rows (0: no side effect).
+_WRITE, _OFFLINE, _FAIL, _DELAY = 1, 2, 3, 4
+_FAULT_KIND = {_OFFLINE: "actuator.offline_write", _FAIL: "actuator.write_fail"}
+
 
 class FleetBatch:
     """Stacked hot state + coalesced stepping for one fleet.
 
     Build *after* the nodes exist but before any request flows; controller
     adoption happens later, once drivers / coordinator / lifecycle have
-    started (fault injectors' ``core.set_frequency`` overrides must be in
-    place so the per-node override flags are final).
+    started (fault injectors must be armed, so each core's ``actuator``
+    is final and adoption can stack the injector rows).
     """
 
     def __init__(self, nodes: Sequence[ClusterNode]) -> None:
@@ -144,8 +154,9 @@ class FleetBatch:
         self._tick_task: Optional[PeriodicTask] = None
         self._tick_total = 0
         self._live_tick_counts = False
-        self._ov_rows: List[int] = []
         self._win_rows: List[Tuple[int, Any]] = []
+        self._acts: List[ActuatorFaults] = []
+        self._row_act: List[Optional[ActuatorFaults]] = []
         self._base = np.empty((n, 1))
         self._coef = np.empty((n, 1))
 
@@ -227,7 +238,9 @@ class FleetBatch:
         Returns ``False`` (adopting nothing) unless every controller is a
         plain, started, homogeneous
         :class:`~repro.core.thread_controller.ThreadController` with no
-        instance-level ``tick`` override and no trace recording.  With
+        instance-level ``tick`` override and no trace recording, and every
+        worker core's ``actuator`` is either ``None`` or its node's one
+        :class:`~repro.faults.injectors.ActuatorFaults`.  With
         ``live_tick_counts`` each controller's ``tick_count`` is advanced
         every tick (DeepPower's DRL step reads it mid-run); otherwise the
         counts are settled once at :meth:`detach`.
@@ -253,6 +266,16 @@ class FleetBatch:
             ):
                 return False
         n, w = self.num_nodes, self.num_workers
+        act_rows = []
+        for i, node in enumerate(self.nodes):
+            act = node.cpu.cores[0].actuator
+            if any(core.actuator is not act for core in node.cpu.cores[:w]):
+                return False
+            if act is None:
+                continue
+            if not isinstance(act, ActuatorFaults) or act.cpu is not node.cpu:
+                return False
+            act_rows.append((i, act))
         self._controllers = ctrls
         self._live_tick_counts = bool(live_tick_counts)
         self._tick_total = 0
@@ -266,13 +289,8 @@ class FleetBatch:
             self._coef[i, 0] = c.scaling_coef
             c._params_listener = self._make_params_hook(i)
             c._task.stop()
-        # Nodes with fault injectors (instance-level set_frequency overrides)
-        # take the per-node scalar apply lane; injectors are static per run.
-        self._ov_rows = ov = [
-            i for i, node in enumerate(self.nodes)
-            if any("set_frequency" in core.__dict__ for core in node.cpu.cores[:w])
-        ]
-        self._win_rows = [(i, c) for i, c in enumerate(ctrls) if c._win and i not in ov]
+        self._win_rows = [(i, c) for i, c in enumerate(ctrls) if c._win]
+        self._stack_actuators(act_rows)
         # Reused per-tick buffers (the fleet tick must not allocate).
         self._scores_buf = np.empty((n, w))
         self._raw_buf = np.empty((n, w))
@@ -287,6 +305,77 @@ class FleetBatch:
         )
         self._engine = engine
         return True
+
+    def _stack_actuators(self, act_rows: Sequence[Tuple[int, ActuatorFaults]]) -> None:
+        """Re-point each injector's draw state at rows of fleet matrices.
+
+        The unread tail of an injector's uniform buffer moves to the front
+        of its row and ``rng.random`` fills the rest, so the per-node
+        stream is unchanged.  A tick draws at most ``2 W`` uniforms per
+        row, so :meth:`_act_codes` tops a row up the same way before a
+        tick that could exhaust it, never during the stacked decisions.
+        """
+        k, w = len(act_rows), self.num_workers
+        width = max(UNIFORM_BLOCK, 2 * w)
+        self._acts = [act for _, act in act_rows]
+        self._act_idx = np.array([i for i, _ in act_rows], dtype=np.intp)
+        self._row_act = [None] * self.num_nodes
+        self._uni = np.empty((k, width))
+        self._uni_flat = self._uni.reshape(-1)
+        self._uni_base = np.arange(k, dtype=np.intp) * width
+        self._cursor = np.zeros(k, dtype=np.intp)
+        self._offline = np.empty((k, self.num_cores))
+        for j, (i, act) in enumerate(act_rows):
+            self._row_act[i] = act
+            tail = act._uniforms[int(act._cursor[0]):]
+            self._uni[j, : tail.size] = tail
+            act.rng.random(out=self._uni[j, tail.size:])
+            act._uniforms = self._uni[j]
+            act._cursor = self._cursor[j : j + 1]
+            self._offline[j, :] = act._offline_until
+            act._offline_until = self._offline[j]
+        plans = [act.plan for act in self._acts]
+        self._fail_p = np.array([p.dvfs_fail_prob for p in plans])
+        self._delay_p = np.array([p.dvfs_delay_prob for p in plans])
+        self._draws_fail = self._fail_p > 0.0
+        self._draws_delay = self._delay_p > 0.0
+        self._any_delay = bool(self._draws_delay.any())
+        self._refill_at = width - 2 * w
+
+    def _act_codes(self, now: float, changed: np.ndarray) -> np.ndarray:
+        """Per-cell outcome of every injector row's tick writes.
+
+        Column by column (a row's draws are consumed in core order), the
+        same decisions :meth:`ActuatorFaults.refuse` makes per call:
+        offline cores draw nothing, a fail draw happens when the fail
+        probability is positive, and a delay draw only for writes that did
+        not fail.  Accepted writes keep ``_WRITE`` where the level changes.
+        """
+        uni, flat, base, cur = self._uni, self._uni_flat, self._uni_base, self._cursor
+        if cur.max() > self._refill_at:
+            # Top up rows this tick's 2 W draws could exhaust.
+            for j in np.nonzero(cur > self._refill_at)[0].tolist():
+                pos = int(cur[j])
+                keep = uni.shape[1] - pos
+                uni[j, :keep] = uni[j, pos:]
+                self._acts[j].rng.random(out=uni[j, keep:])
+                cur[j] = 0
+        codes = changed[self._act_idx].view(np.int8)
+        offline = np.less(now, self._offline[:, : self.num_workers])
+        for c in range(self.num_workers):
+            live = ~offline[:, c]
+            draw = live & self._draws_fail
+            failed = draw & (flat[base + cur] < self._fail_p)
+            cur += draw
+            col = codes[:, c]
+            col[offline[:, c]] = _OFFLINE
+            col[failed] = _FAIL
+            if self._any_delay:
+                draw = live & ~failed & self._draws_delay
+                delayed = draw & (flat[base + cur] < self._delay_p)
+                cur += draw
+                col[delayed] = _DELAY
+        return codes
 
     def _make_params_hook(self, i: int) -> Callable[[Any], None]:
         base, coef = self._base, self._coef
@@ -303,6 +392,10 @@ class FleetBatch:
         Same per-element IEEE operations as the per-node tick, ceiling clamp
         included; only DVFS levels that changed get a write (via each core's
         listener the writes land straight back in the frequency matrix rows).
+        Injector rows get their fault decisions from :meth:`_act_codes`;
+        then one row-major pass applies every cell with a side effect (a
+        fault count, a delayed write or a level change) in the order the
+        per-node ticks would.
         """
         now = self._engine.now
         b = self.begins
@@ -318,29 +411,38 @@ class FleetBatch:
         np.multiply(s, self._fspan, out=raw)
         raw += self._fmin
         np.copyto(raw, self._turbo, where=self._turbo_mask)
-        # Clamp into the spent score buffer: the injector lane needs raw.
+        # Clamp into the spent score buffer: delayed writes carry raw.
         np.minimum(raw, self.ceil, out=s)
         q = self._quant_buf
         self._table.quantize_into(s.reshape(-1), q.reshape(-1))
         diff = self._diff_mask
         np.not_equal(q, self._fw, out=diff)
-        if self._ov_rows:
-            w = self.num_workers
-            for i in self._ov_rows:
-                diff[i, :] = False
-                # Injected cores must see one raw write per tick (RNG
-                # draws) — the unmodified per-node path.
-                applied = self.nodes[i].cpu.set_frequencies(raw[i], count=w)
-                ctrl = self._controllers[i]
-                if ctrl._win:
-                    ctrl._win_observe(float(applied.mean()))
-        rows, cols = np.nonzero(diff)
+        codes = diff.view(np.int8)  # _WRITE where the level changes
+        if self._acts:
+            codes[self._act_idx] = self._act_codes(now, diff)
+        rows, cols = np.nonzero(codes)
         if rows.size:
-            nodes = self.nodes
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                nodes[r].cpu.cores[c].set_frequency(float(q[r, c]), quantize=False)
+            nodes, row_act = self.nodes, self._row_act
+            for r, c, e in zip(rows.tolist(), cols.tolist(), codes[rows, cols].tolist()):
+                core = nodes[r].cpu.cores[c]
+                act = row_act[r]
+                if e == _WRITE:
+                    if act is None:
+                        core.set_frequency(float(q[r, c]), quantize=False)
+                    else:
+                        act.apply(core, float(q[r, c]), quantize=False)
+                elif e == _DELAY:
+                    act._count("actuator.delay")
+                    self._engine.schedule_after(
+                        act.plan.dvfs_delay, act.apply, core, float(raw[r, c])
+                    )
+                else:
+                    act._count(_FAULT_KIND[e])
+        # After the pass each row holds exactly the levels its writes
+        # returned (refused cells keep theirs).
+        fw = self._fw
         for i, ctrl in self._win_rows:
-            ctrl._win_observe(float(q[i].mean()))
+            ctrl._win_observe(float(fw[i].mean()))
         self._tick_total += 1
         if self._live_tick_counts:
             for ctrl in self._controllers:

@@ -33,7 +33,10 @@ Under batched fleet stepping (:mod:`repro.cluster.batch`) no lifecycle
 code changes: state flips flow through the ``ClusterNode.state`` setter
 into the batch's down/degraded masks, ``evacuate()`` fires the server's
 reset hook (zeroing the stacked backlog entry), and parked-core writes
-land in the stacked frequency rows via the normal core listeners.  Fault
+land in the stacked frequency rows via the normal core listeners.  The
+harnesses' DVFS injectors sit in each core's ``actuator`` slot; the batch
+stacks their draw state at adoption, so a parked-core write vetted here
+and a tick write vetted by the batch consume one per-node stream.  Fault
 events share ``PRIORITY_CONTROL`` with controller ticks, but every fault
 event coinciding with a tick time was scheduled strictly earlier in
 simulated time than that tick's reschedule (ticks re-arm one short-time

@@ -447,8 +447,8 @@ class ClusterSim:
         # Batched fleet stepping: stack per-node state into fleet-wide
         # arrays and route dispatch / power-cap reads through them.  Built
         # once the nodes exist; controller adoption waits until run() has
-        # started the lifecycle, whose fault harnesses install the injector
-        # overrides adoption looks for.
+        # started the lifecycle, whose fault harnesses arm the DVFS
+        # injectors (core actuators) adoption stacks into the fleet tick.
         self.batch: Optional[FleetBatch] = None
         if config.batched_stepping:
             self.batch = FleetBatch(self.nodes)
@@ -468,8 +468,8 @@ class ClusterSim:
         tasks.  DeepPower fleets under a fault plan are excluded because
         the resilience watchdog stops/starts individual controllers
         mid-run.  Called after every driver, the coordinator and the
-        lifecycle have started, so fault-injector overrides are all
-        installed and the adoption validation sees the final tick topology.
+        lifecycle have started, so every fault injector is armed in its
+        cores' ``actuator`` slot and adoption sees the final tick topology.
         """
         if self.batch is None:
             return

@@ -136,8 +136,8 @@ class ThreadController:
         """Time every tick into ``spans`` under ``controller.tick``.
 
         Wraps :meth:`tick` with an instance-level closure (the same idiom
-        the fault injectors use), so the un-profiled tick path carries no
-        timing code at all.  Call before :meth:`start`.
+        the sensor fault injectors use), so the un-profiled tick path
+        carries no timing code at all.  Call before :meth:`start`.
         """
         if spans is None:
             return

@@ -42,6 +42,10 @@ class Core:
 
     ``ceiling`` caps every write (a power cap's DVFS ceiling; default
     ``table.turbo``, which clamps nothing) — see ``Cpu.set_ceiling``.
+    ``actuator`` (default ``None``) vets every write before it applies:
+    any object with ``refuse(core, freq) -> bool`` (a fault injector's
+    :class:`~repro.faults.injectors.ActuatorFaults`); a refused write
+    leaves the level unchanged.
     """
 
     def __init__(
@@ -58,6 +62,7 @@ class Core:
 
         self._freq = table.fmax
         self.ceiling = table.turbo
+        self.actuator = None
         self._busy = False
         self._energy = 0.0
         self._busy_time = 0.0
@@ -88,8 +93,13 @@ class Core:
 
         Equivalent to writing ``scaling_setspeed`` under the userspace
         governor: the request snaps to a P-state, and a no-op write (same
-        level) costs nothing.  Requests clamp to ``ceiling`` first.
+        level) costs nothing.  An ``actuator`` sees the raw request first
+        and may refuse it (the current level is returned); accepted
+        requests clamp to ``ceiling``.
         """
+        act = self.actuator
+        if act is not None and act.refuse(self, freq):
+            return self._freq
         if freq > self.ceiling:
             freq = self.ceiling
         f = self.table.quantize(freq) if quantize else freq

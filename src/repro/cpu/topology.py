@@ -125,10 +125,12 @@ class Cpu:
         ``cores[:k]`` in a buffer that is *reused across calls* — copy to
         retain.
 
-        When a fault injector has wrapped a core's ``set_frequency`` (an
-        instance-level override), skipping no-op writes would change how
-        many faulted writes the injector sees; such cores get their historic
-        one-call-per-core write with the raw frequency.
+        A core with an ``actuator`` (a fault injector) gets one
+        ``set_frequency`` call per write with the raw frequency: skipping
+        no-op writes would change how many writes the actuator vets (and
+        so its RNG draws).  A :class:`~repro.cluster.batch.FleetBatch`
+        makes the same decisions for injector rows in one stacked pass;
+        this per-call path is the reference it matches.
         """
         cores = self.cores
         n = len(cores) if count is None else int(count)
@@ -147,10 +149,8 @@ class Cpu:
             quantize = self.table.quantize
             for i in range(n):
                 c = cores[i]
-                if "set_frequency" in c.__dict__:
-                    # Fault injection wrapped this core's set_frequency: keep
-                    # the historic one-raw-write-per-call so the injector sees
-                    # the same call count and RNG draws.
+                if c.actuator is not None:
+                    # One raw write per call: the actuator vets every write.
                     applied[i] = c.set_frequency(float(vals[i]))
                     continue
                 q = quantize(c.ceiling if vals[i] > c.ceiling else vals[i])
@@ -158,8 +158,8 @@ class Cpu:
                 if q != c._freq:
                     c.set_frequency(q, quantize=False)
             return applied
-        if any("set_frequency" in c.__dict__ for c in cores[:n]):
-            # Preserve per-call fault-injection semantics (RNG draws, counts).
+        if any(c.actuator is not None for c in cores[:n]):
+            # Per-call actuator semantics (RNG draws, counts).
             for i in range(n):
                 applied[i] = cores[i].set_frequency(float(freqs[i]))
             return applied

@@ -1,12 +1,14 @@
 """Fault injectors: interpret a :class:`~repro.faults.plan.FaultPlan`
 against a live simulated stack.
 
-Each injector wraps the narrow surface its faults flow through — the RAPL
-monitor's ``read``, the telemetry channel's ``snapshot``, every core's
-``set_frequency``, the agent's replay pool — by replacing the *instance*
-attribute with a faulting closure.  The wrapped object never knows; the
-runtime above it experiences exactly what a real deployment would: stale
-counters, lost messages, writes that lie.
+Each injector hooks the narrow surface its faults flow through.  The RAPL
+monitor's ``read`` and the telemetry channel's ``snapshot`` are replaced
+by faulting closures on the *instance*; the agent's replay pool is
+poisoned in place; DVFS writes are vetted through each core's
+``actuator`` slot (:class:`ActuatorFaults`), which the batched fleet tick
+can evaluate for every node at once.  The runtime above never knows, and
+experiences exactly what a real deployment would: stale counters, lost
+messages, writes that lie.
 
 Injection is armed once per run (``arm()``), is a no-op for empty plans,
 and counts every fault it actually delivers in ``counts`` so experiments
@@ -29,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server.telemetry import TelemetryChannel
 
 __all__ = ["SensorFaults", "ActuatorFaults", "AgentFaults", "FaultHarness"]
+
+#: Uniforms an :class:`ActuatorFaults` draws per ``rng.random`` refill.
+UNIFORM_BLOCK = 256
 
 
 class _Injector:
@@ -171,7 +176,17 @@ class SensorFaults(_Injector):
 
 class ActuatorFaults(_Injector):
     """DVFS-side faults: writes that silently fail, switch-latency spikes,
-    and transient core offlining (parked at fmin, writes ignored)."""
+    and transient core offlining (parked at fmin, writes ignored).
+
+    Installed as every core's ``actuator``, so
+    :meth:`~repro.cpu.core.Core.set_frequency` asks :meth:`refuse` before
+    applying a level.  The fail/delay uniforms come from a buffered block
+    of ``rng.random(k)`` consumed in order — the same doubles as one
+    scalar draw per decision.  The buffer, its cursor and the per-core
+    offline deadlines are arrays so a
+    :class:`~repro.cluster.batch.FleetBatch` can re-point them at rows of
+    fleet matrices and draw every injector's tick decisions in one pass.
+    """
 
     def __init__(
         self,
@@ -182,41 +197,58 @@ class ActuatorFaults(_Injector):
     ) -> None:
         super().__init__(engine, plan, rng)
         self.cpu = cpu
-        self._offline_until: Dict[int, float] = {}
+        self._offline_until = np.full(cpu.num_cores, -math.inf)
+        self._uniforms = np.empty(UNIFORM_BLOCK)
+        self._cursor = np.full(1, UNIFORM_BLOCK)  # empty: refill on first draw
+        self._passthrough = False
 
     def _arm(self) -> None:
         for core in self.cpu.cores:
-            self._wrap_core(core)
+            core.actuator = self
         for ev in self.plan.events_of("actuator.offline"):
             if not 0 <= ev.target < self.cpu.num_cores:
                 raise ValueError(f"actuator.offline target {ev.target} out of range")
             self.engine.schedule_at(ev.time, self._begin_offline, ev.target, ev.end)
 
-    def _wrap_core(self, core) -> None:
-        true_set = core.set_frequency
+    def _uniform(self) -> float:
+        buf, cur = self._uniforms, self._cursor
+        i = int(cur[0])
+        if i == len(buf):
+            self.rng.random(out=buf)
+            i = 0
+        cur[0] = i + 1
+        return float(buf[i])
+
+    def refuse(self, core, freq: float) -> bool:
+        """Decide one DVFS write: ``True`` drops it (offline core, failed
+        write, or a delayed write that lands ``plan.dvfs_delay`` later)."""
+        if self._passthrough:
+            return False
+        if self.engine.now < self._offline_until[core.core_id]:
+            self._count("actuator.offline_write")
+            return True
         plan = self.plan
+        if plan.dvfs_fail_prob > 0.0 and self._uniform() < plan.dvfs_fail_prob:
+            self._count("actuator.write_fail")
+            return True
+        if plan.dvfs_delay_prob > 0.0 and self._uniform() < plan.dvfs_delay_prob:
+            self._count("actuator.delay")
+            self.engine.schedule_after(plan.dvfs_delay, self.apply, core, freq)
+            return True
+        return False
 
-        def faulted_set(freq: float, *, quantize: bool = True) -> float:
-            if self.engine.now < self._offline_until.get(core.core_id, -math.inf):
-                self._count("actuator.offline_write")
-                return core.frequency
-            if plan.dvfs_fail_prob > 0.0 and self.rng.random() < plan.dvfs_fail_prob:
-                self._count("actuator.write_fail")
-                return core.frequency
-            if plan.dvfs_delay_prob > 0.0 and self.rng.random() < plan.dvfs_delay_prob:
-                self._count("actuator.delay")
-                self.engine.schedule_after(plan.dvfs_delay, true_set, freq)
-                return core.frequency
-            return true_set(freq, quantize=quantize)
-
-        core.set_frequency = faulted_set
-        if not hasattr(core, "_true_set_frequency"):
-            core._true_set_frequency = true_set
+    def apply(self, core, freq: float, quantize: bool = True) -> float:
+        """Write ``freq`` to ``core`` without vetting it (delayed writes
+        landing, offline parking, writes already decided elsewhere)."""
+        self._passthrough = True
+        try:
+            return core.set_frequency(freq, quantize=quantize)
+        finally:
+            self._passthrough = False
 
     def _begin_offline(self, core_id: int, until: float) -> None:
-        core = self.cpu[core_id]
         self._count("actuator.offline")
-        core._true_set_frequency(self.cpu.table.fmin)
+        self.apply(self.cpu[core_id], self.cpu.table.fmin)
         self._offline_until[core_id] = until
 
 

@@ -14,6 +14,17 @@ from repro.workload.apps import get_app
 from repro.workload.trace import constant_trace
 
 
+class _RecordingActuator:
+    """Accepts every DVFS write and records the raw request it vetted."""
+
+    def __init__(self):
+        self.calls = []
+
+    def refuse(self, core, freq):
+        self.calls.append(freq)
+        return False
+
+
 def _nodes(n=2, cores=2, seed=3):
     engine = Engine()
     app = get_app("xapian")
@@ -74,26 +85,20 @@ class TestFrequencyCap:
         _, nodes = _nodes(1)
         cpu = nodes[0].cpu
         core = cpu.cores[0]
-        calls = []
-        inner = core.set_frequency
-
-        def spy(freq, *, quantize=True):
-            calls.append(freq)
-            return inner(freq, quantize=quantize)
-
-        core.set_frequency = spy  # e.g. a fault injector
+        recorder = _RecordingActuator()
+        core.actuator = recorder  # e.g. a fault injector
         cap = FrequencyCap(cpu)
         cap.set_ceiling(1.3)
         # Clamping a core already above the new ceiling goes through it.
-        assert calls == [1.3]
+        assert recorder.calls == [1.3]
         core.set_frequency(cpu.table.turbo)
-        # The wrapper sees the raw request; the core applies the ceiling.
-        assert calls == [1.3, cpu.table.turbo]
+        # The actuator sees the raw request; the core applies the ceiling.
+        assert recorder.calls == [1.3, cpu.table.turbo]
         assert core.frequency == pytest.approx(1.3)
         cpu.set_frequencies([cpu.table.turbo, cpu.table.turbo])
-        assert calls == [1.3] + [cpu.table.turbo] * 2
+        assert recorder.calls == [1.3] + [cpu.table.turbo] * 2
         assert np.all(cpu.frequencies() == 1.3)
-        assert core.__dict__["set_frequency"] is spy
+        assert core.actuator is recorder
 
 
 class TestCapWithChaos:
@@ -109,9 +114,12 @@ class TestCapWithChaos:
         sim = ClusterSim(config, constant_trace(rps, 2.0))
         sim.run()
         assert sim.coordinator.throttled_windows > 0  # the cap did bite
-        for node in sim.nodes:
+        harnesses = sim.lifecycle.harnesses
+        assert len(harnesses) == len(sim.nodes)
+        for node, harness in zip(sim.nodes, harnesses):
+            assert harness.actuator.cpu is node.cpu
             for core in node.cpu.cores:
-                assert "set_frequency" in core.__dict__  # injector wrapper
+                assert core.actuator is harness.actuator
                 assert core.ceiling == node.cpu.table.turbo
             assert node.cpu.ceiling == node.cpu.table.turbo
 

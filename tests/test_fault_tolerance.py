@@ -1,9 +1,14 @@
 """Tests for the fault-injection subsystem and the runtime watchdog."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.cluster.batch import FleetBatch
+from repro.cluster.node import ClusterNode
 from repro.core import DeepPowerAgent, DeepPowerConfig, DeepPowerRuntime, default_ddpg_config
+from repro.core.thread_controller import ThreadController
 from repro.cpu import Cpu
 from repro.cpu.rapl import PowerMonitor
 from repro.experiments.runner import build_context
@@ -18,8 +23,9 @@ from repro.faults import (
     WatchdogConfig,
     standard_fault_plan,
 )
+from repro.faults.injectors import UNIFORM_BLOCK
 from repro.server.telemetry import TelemetrySnapshot
-from repro.sim import RngRegistry
+from repro.sim import Engine, RngRegistry
 from repro.workload import constant_trace
 
 
@@ -158,6 +164,122 @@ class TestActuatorFaults:
         assert cpu.cores[0].frequency == before  # not yet
         engine.run_until(2.0)
         assert cpu.cores[0].frequency == cpu.table.fmin  # landed
+
+
+class _PerCallActuatorOracle:
+    """Reference DVFS injector: the closure-era ``faulted_set`` decision
+    chain with one scalar ``rng.random()`` per fail/delay draw."""
+
+    def __init__(self, engine, plan, rng, cpu):
+        self.engine, self.plan, self.rng, self.cpu = engine, plan, rng, cpu
+        self.counts = {}
+        self.draws = 0
+        self._offline_until = {}
+        self._passthrough = False
+
+    def arm(self):
+        for core in self.cpu.cores:
+            core.actuator = self
+        for ev in self.plan.events_of("actuator.offline"):
+            self.engine.schedule_at(ev.time, self._begin_offline, ev.target, ev.end)
+
+    def _count(self, kind):
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+
+    def _random(self):
+        self.draws += 1
+        return self.rng.random()
+
+    def refuse(self, core, freq):
+        if self._passthrough:
+            return False
+        if self.engine.now < self._offline_until.get(core.core_id, -math.inf):
+            self._count("actuator.offline_write")
+            return True
+        plan = self.plan
+        if plan.dvfs_fail_prob > 0.0 and self._random() < plan.dvfs_fail_prob:
+            self._count("actuator.write_fail")
+            return True
+        if plan.dvfs_delay_prob > 0.0 and self._random() < plan.dvfs_delay_prob:
+            self._count("actuator.delay")
+            self.engine.schedule_after(plan.dvfs_delay, self.apply, core, freq)
+            return True
+        return False
+
+    def apply(self, core, freq):
+        self._passthrough = True
+        try:
+            return core.set_frequency(freq)
+        finally:
+            self._passthrough = False
+
+    def _begin_offline(self, core_id, until):
+        self._count("actuator.offline")
+        self.apply(self.cpu[core_id], self.cpu.table.fmin)
+        self._offline_until[core_id] = until
+
+
+class TestStackedActuatorStream:
+    """The fleet tick's stacked fault draws consume each injector's stream
+    exactly like one scalar ``rng.random()`` per decision, also when
+    writes outside the tick (crash parking, cap clamps) interleave."""
+
+    PLAN = FaultPlan(
+        seed=9, dvfs_fail_prob=0.2, dvfs_delay_prob=0.3, dvfs_delay=0.0031,
+        events=(FaultEvent(0.2003, "actuator.offline", duration=0.15, target=1),),
+    )
+
+    def _run(self, app, stacked):
+        engine = Engine()
+        node = ClusterNode(engine, 0, app, 3, num_workers=2, seed=4)
+        cpu, table = node.cpu, node.cpu.table
+        ctrl = ThreadController(engine, node.server)
+        ctrl.start()
+        levels, delayed = [], []
+        for core in cpu.cores:
+            core.add_frequency_listener(
+                lambda c, old, new: levels.append((engine.now, c.core_id, new))
+            )
+        schedule_at = engine.schedule_at
+
+        def spy(time, callback, *args, **kw):
+            if getattr(callback, "__name__", "") == "apply":
+                delayed.append((time, args[0].core_id, args[1]))
+            return schedule_at(time, callback, *args, **kw)
+
+        engine.schedule_at = spy
+        rng = np.random.default_rng([self.PLAN.seed, 2])
+        if stacked:
+            batch = FleetBatch([node])
+            inj = ActuatorFaults(engine, self.PLAN, rng, cpu)
+            inj.arm()
+            assert batch.adopt_controllers([ctrl])
+            assert batch._acts == [inj]
+        else:
+            inj = _PerCallActuatorOracle(engine, self.PLAN, rng, cpu)
+            inj.arm()
+        for k in range(40):  # idle cores: the base alone sets the level
+            engine.schedule_at(0.0105 + 0.025 * k, ctrl.set_params, 0.37 * k % 1.1, 0.5)
+        engine.schedule_at(0.1505, cpu.set_ceiling, table.levels[2])
+        engine.schedule_at(0.3505, cpu.set_all_frequencies, table.fmin)
+        engine.schedule_at(0.5505, cpu.set_ceiling, table.turbo)
+        engine.schedule_at(0.7505, cpu.set_all_frequencies, table.turbo)
+        engine.run_until(1.0)
+        return levels, list(inj.counts.items()), delayed, inj
+
+    def test_stacked_draws_match_per_call_oracle(self, tiny_app):
+        levels, counts, delayed, _ = self._run(tiny_app, stacked=True)
+        ref_levels, ref_counts, ref_delayed, oracle = self._run(
+            tiny_app, stacked=False
+        )
+        assert oracle.draws >= 3 * UNIFORM_BLOCK  # several buffer refills
+        assert {k for k, _ in ref_counts} == {
+            "actuator.write_fail", "actuator.delay",
+            "actuator.offline", "actuator.offline_write",
+        }
+        assert levels == ref_levels
+        assert counts == ref_counts  # values and key order
+        assert delayed == ref_delayed
 
 
 class TestAgentFaults:

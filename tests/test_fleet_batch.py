@@ -5,7 +5,7 @@ The load-bearing guarantee of the cross-node vectorisation: with
 **byte-identical** node-tagged traces and **identical** FleetMetrics to
 the per-node scalar path, on every configuration — plain fleets, chaos
 fleets mid-fault, power-capped fleets (the cap's stacked clamp and the
-injector lane, alone and mixed), and long soak-style runs — at
+stacked fault-injector draws, alone and mixed), and long soak-style runs — at
 fleet sizes on both sides of the batching cutover.
 
 (The soak *experiment* itself — ``repro.experiments.soak`` — drives
@@ -26,7 +26,14 @@ from repro.cluster import (
 )
 from repro.cluster.batch import SCALAR_BATCH_CUTOFF, FleetBatch
 from repro.cpu.core import Core
-from repro.faults import FaultEvent, FaultPlan, FleetFaultPlan, standard_chaos_plan
+from repro.experiments.hier import hier_config
+from repro.faults import (
+    ActuatorFaults,
+    FaultEvent,
+    FaultPlan,
+    FleetFaultPlan,
+    standard_chaos_plan,
+)
 from repro.obs import Observability
 from repro.parallel import content_key
 from repro.workload.apps import get_app
@@ -125,9 +132,9 @@ class TestParityLargeFleet:
 
 
 class TestParityCapLane:
-    """Cap ceilings ride the stacked tick (one clamp), while fault
-    injectors keep the per-node override lane.  A 0.5 budget fraction
-    only revokes turbo; 0.3 also throttles into the sustained range."""
+    """Cap ceilings and fault injectors both ride the stacked tick (one
+    clamp, one stacked fault draw).  A 0.5 budget fraction only revokes
+    turbo; 0.3 also throttles into the sustained range."""
 
     def test_controller_powercap_at_peak(self, tmp_path):
         _assert_parity(
@@ -145,7 +152,8 @@ class TestParityCapLane:
 
     def test_mixed_cap_and_injector_rows(self, tmp_path):
         # Cap on every node, DVFS faults (failed and delayed writes, an
-        # offlined core) on the even nodes only: both lanes in one tick.
+        # offlined core) on the even nodes only: injector and plain rows
+        # in one tick.
         plans = tuple(
             (i, FaultPlan(
                 seed=100 + i, dvfs_fail_prob=0.05, dvfs_delay_prob=0.05,
@@ -160,12 +168,13 @@ class TestParityCapLane:
             fault_plan=FleetFaultPlan(node_plans=plans),
         )
 
-    def _capped_sim(self, nodes=4):
+    def _capped_sim(self, nodes=4, fault_plan=None):
         rps = get_app(APP).rps_for_load(0.6, nodes * 2)
         config = ClusterConfig(
             app=APP, num_nodes=nodes, cores_per_node=2, seed=11,
             stepping="batched", policy="controller", routing="jsq",
             power_cap_watts=fleet_power_budget(nodes, 2, fraction=0.3),
+            fault_plan=fault_plan,
         )
         return ClusterSim(config, constant_trace(rps, 2.0))
 
@@ -185,21 +194,69 @@ class TestParityCapLane:
         assert sim.coordinator.throttled_windows > 0
         assert len(writes) == sum(n.cpu.total_switches() for n in sim.nodes)
 
-    def test_injector_lane_sees_raw_requests(self):
-        sim = self._capped_sim()
-        core = sim.nodes[1].cpu.cores[0]
-        above_ceiling = []
-        inner = core.set_frequency
+    def test_injector_lane_sees_raw_requests(self, monkeypatch):
+        # Every DVFS write on node 1 is delayed, so each one the stacked
+        # tick vets lands later carrying the request the injector saw.
+        plan = FleetFaultPlan(node_plans=(
+            (1, FaultPlan(seed=7, dvfs_delay_prob=1.0)),
+        ))
+        sim = self._capped_sim(fault_plan=plan)
+        landed = []
+        apply = ActuatorFaults.apply
 
-        def spy(freq, *, quantize=True):  # stands in for a fault injector
-            above_ceiling.append(freq > core.ceiling)
-            return inner(freq, quantize=quantize)
+        def record(act, core, freq, quantize=True):
+            applied = apply(act, core, freq, quantize=quantize)
+            landed.append((freq > core.ceiling, applied <= core.ceiling))
+            return applied
 
-        core.set_frequency = spy
+        monkeypatch.setattr(ActuatorFaults, "apply", record)
         sim.run()
-        assert sim.batch._ov_rows == [1]  # capped rows stay on the stack
-        # The wrapper gets the controller's raw request; the core clamps.
-        assert any(above_ceiling)
+        assert not hasattr(sim.batch, "_ov_rows")
+        # The injector row rides the stacked tick with the capped rows.
+        assert sim.batch._acts == [sim.lifecycle.harnesses[0].actuator]
+        assert sim.nodes[1].cpu.cores[0].actuator is sim.batch._acts[0]
+        # The injector gets the controller's raw request; the core clamps.
+        assert any(above for above, _ in landed)
+        assert all(clamped for _, clamped in landed)
+
+    def test_foreign_actuator_keeps_per_node_ticks(self, monkeypatch):
+        # Only ActuatorFaults can be stacked; any other actuator leaves
+        # every controller on its per-node tick, where it vets raw writes.
+        adopted = []
+        adopt = FleetBatch.adopt_controllers
+
+        def record(batch, *args, **kw):
+            adopted.append(adopt(batch, *args, **kw))
+            return adopted[-1]
+
+        monkeypatch.setattr(FleetBatch, "adopt_controllers", record)
+        sim = self._capped_sim()
+        seen = []
+
+        class Recorder:
+            def refuse(self, core, freq):
+                seen.append(freq > core.ceiling)
+                return False
+
+        sim.nodes[1].cpu.cores[0].actuator = Recorder()
+        sim.run()
+        assert adopted == [False]
+        assert any(seen)
+
+
+class TestParityBenchmarkMix:
+    """The benchmark's ``fleet-chaos-hier`` feature mix in one fleet: a
+    learning hier coordinator over a 0.7 cap, power-aware routing, and
+    the standard chaos plan with a DVFS injector on every node."""
+
+    def test_chaos_hier_capped_power_aware(self, tmp_path):
+        _assert_parity(
+            tmp_path, nodes=16, duration=4.0, load=0.35,
+            policy="controller", routing="power-aware",
+            power_cap_watts=fleet_power_budget(16, 2, fraction=0.7),
+            fault_plan=standard_chaos_plan(1.0, 16, 4.0, seed=5),
+            hier=hier_config(),
+        )
 
 
 class TestCutover:

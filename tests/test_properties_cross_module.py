@@ -149,6 +149,17 @@ _FREQS = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
 _CEILINGS = st.sampled_from(DEFAULT_TABLE.levels)
 
 
+class _RecordingActuator:
+    """Accepts every DVFS write and records ``(core_id, raw request)``."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def refuse(self, core, freq):
+        self.calls.append((core.core_id, freq))
+        return False
+
+
 class TestCeilingInvariants:
     @given(freq=_FREQS, ceiling=_CEILINGS, quantize=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -188,13 +199,9 @@ class TestCeilingInvariants:
                 plan = FaultPlan(seed=3, dvfs_fail_prob=0.3)
                 ActuatorFaults(engine, plan, np.random.default_rng(3), cpu).arm()
             elif wrapper == "spy-even":
+                recorder = _RecordingActuator(calls)
                 for core in cpu.cores[::2]:
-                    def spy(freq, *, quantize=True, _inner=core.set_frequency,
-                            _id=core.core_id):
-                        calls.append((_id, freq))
-                        return _inner(freq, quantize=quantize)
-
-                    core.set_frequency = spy
+                    core.actuator = recorder
             return cpu, calls
 
         batched, batched_calls = build()

@@ -93,17 +93,17 @@ class TestSetFrequenciesBatched:
     def test_wrapped_core_gets_per_call_raw_writes(self):
         cpu = Cpu(Engine(), 4)
         seen = []
-        orig = cpu.cores[1].set_frequency
 
-        def wrapper(freq, **kw):
-            seen.append(freq)
-            return orig(freq, **kw)
+        class Recorder:  # accepts every write, like a fault-free injector
+            def refuse(self, core, freq):
+                seen.append(freq)
+                return False
 
-        cpu.cores[1].set_frequency = wrapper  # instance-level, like injectors
+        cpu.cores[1].actuator = Recorder()
         for _ in range(3):
             cpu.set_frequencies([1.05, 1.05, 1.05, 1.05])
-        # The wrapped core sees every raw (unquantised) write, even though
-        # its level never changes after the first call.
+        # The actuator's core sees every raw (unquantised) write, even
+        # though its level never changes after the first call.
         assert seen == [1.05, 1.05, 1.05]
         assert cpu.frequencies()[1] == DEFAULT_TABLE.quantize(1.05)
 

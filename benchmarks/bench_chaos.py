@@ -9,14 +9,16 @@ keeps feeding dead nodes — measurably does not.  Availability, redispatch
 and drop counters come along for the per-row report.
 """
 
+from functools import partial
+
 from conftest import run_once
 
-from repro.experiments.chaos import render_chaos, run_chaos
+from repro.experiments.fleet import render_fleet_grid, run_fleet_grid
 
 
 def test_chaos_grid(benchmark, emit):
-    result = run_once(benchmark, run_chaos, app_name="xapian")
-    emit("Extension — chaos grid, Xapian", render_chaos(result))
+    result = run_once(benchmark, partial(run_fleet_grid, "chaos"), app_name="xapian")
+    emit("Extension — chaos grid, Xapian", render_fleet_grid("chaos", result))
 
     rows = {
         (r["routing"], r["intensity"], r["failover"]): r["metrics"]

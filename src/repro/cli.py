@@ -23,6 +23,13 @@ Run an 8-node fleet under a global power cap and inspect it per node::
         --power-cap auto --trace-out fleet.trace.jsonl
     deeppower trace summarize fleet.trace.jsonl --group-by node
 
+The same command runs the fleet under a seeded fault plan (``--chaos``)
+and/or with a learned fleet-level agent apportioning the cap
+(``--hier``); each switch enables its own group of flags::
+
+    deeppower fleet --nodes 8 --policy retail --chaos 1.0 --no-failover
+    deeppower fleet --nodes 8 --power-cap auto --hier ddpg --chaos 1.0
+
 Rebuild the per-interval (Fig 8-style) table from a trace::
 
     deeppower trace summarize run.trace.jsonl
@@ -49,61 +56,39 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
-def _positive_float(value: str) -> float:
-    """argparse type for rates/intensities that must be finite and > 0.
+def _bounded(cast, low, *, strict: bool = False):
+    """argparse type for a finite number ``>= low`` (``> low`` if ``strict``).
 
     The finiteness check matters: ``float('nan') <= 0`` is False, so
-    without it ``nan`` (and ``inf``) would sail through a plain
-    positivity test and surface later as a deep simulation traceback.
+    without it ``nan`` (and ``inf``) would sail through a plain bound
+    check and surface later as a deep simulation traceback.
     """
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {value!r}"
-        )
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {x}")
-    return x
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(value: str):
+        try:
+            x = cast(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {value!r}")
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number, got {value!r}"
+            )
+        if x < low or (strict and x == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {x}"
+            )
+        return x
+
+    return parse
 
 
-def _nonneg_float(value: str) -> float:
-    """argparse type for durations that must be finite and >= 0."""
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {value!r}"
-        )
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {x}")
-    return x
-
-
-def _nonneg_int(value: str) -> int:
-    """argparse type for budgets/counts that must be >= 0."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+#: Counts of at least 1, budgets/counts >= 0, rates/intensities > 0 and
+#: durations >= 0.
+_positive_int = _bounded(int, 1)
+_nonneg_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, strict=True)
+_nonneg_float = _bounded(float, 0)
 
 
 def _out_file_arg(value: str) -> str:
@@ -130,6 +115,21 @@ def _out_file_arg(value: str) -> str:
     if os.path.exists(value) and not os.access(value, os.W_OK):
         raise argparse.ArgumentTypeError(
             f"cannot write {value!r}: file exists and is not writable"
+        )
+    return value
+
+
+def _in_file_arg(value: str) -> str:
+    """argparse type for input files (``--agent``, ``--fleet-agent``).
+
+    A missing or unreadable file is rejected at parse time instead of
+    after the fleet has been set up.
+    """
+    if not os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"cannot read {value!r}: no such file")
+    if not os.access(value, os.R_OK):
+        raise argparse.ArgumentTypeError(
+            f"cannot read {value!r}: file is not readable"
         )
     return value
 
@@ -190,25 +190,43 @@ def _power_cap_arg(value: str):
     return watts
 
 
-def _add_trace_layout_args(sp: argparse.ArgumentParser) -> None:
-    """Trace storage-layout flags shared by the fleet-shaped commands."""
-    sp.add_argument(
-        "--trace-segment-events", type=_positive_int, default=None,
-        help="rotate the trace into numbered segment files every N events "
-        "(--trace-out becomes a JSON segment index; read back "
-        "transparently by trace summarize/tail/query)",
-    )
-    sp.add_argument(
-        "--trace-compress", default=None, choices=["gzip", "zstd"],
-        help="compress the trace (gzip: stdlib; zstd: needs the optional "
-        "zstandard module)",
-    )
-    sp.add_argument(
-        "--trace-shard-nodes", action="store_true",
-        help="route node-tagged events into per-node segment files "
-        "(implies the indexed layout; per-node order is preserved, "
-        "cross-node interleaving is not)",
-    )
+#: The fleet command's optional groups: each switch, and the value every
+#: other flag of its group takes when left out.
+_FLEET_GROUPS = {
+    "chaos": {
+        "retry_budget": 2,
+        "retry_backoff": 0.05,
+        "recovery": None,
+        "drop_in_flight": False,
+        "no_failover": False,
+    },
+    "hier": {
+        "control": "budget",
+        "eval": False,
+        "fleet_agent": None,
+        "save_fleet_agent": None,
+        "shared_replay": False,
+        "fed_avg_every": 0,
+        "checkpoint_dir": None,
+        "resume": False,
+    },
+}
+
+
+def _validate_fleet(parser: argparse.ArgumentParser, args) -> None:
+    """Reject group flags given without their switch, then fill defaults."""
+    for switch, defaults in _FLEET_GROUPS.items():
+        for dest, default in defaults.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif getattr(args, switch) is None:
+                flag = "--" + dest.replace("_", "-")
+                parser.error(f"{flag} requires --{switch}")
+    if args.hier is not None and args.power_cap is None:
+        parser.error(
+            "--hier requires --power-cap (watts, or 'auto') for the fleet "
+            "agent to apportion"
+        )
 
 
 def _validate_resume(parser: argparse.ArgumentParser, args) -> None:
@@ -341,106 +359,86 @@ def _cmd_fleet(args) -> int:
     cap = args.power_cap
     if cap == "auto":
         cap = fleet_power_budget(args.nodes, cores)
-    config = ClusterConfig(
-        app=args.app,
-        num_nodes=args.nodes,
-        cores_per_node=cores,
-        policy=args.policy,
-        routing=args.routing,
-        power_cap_watts=cap,
-        seed=seed,
-        agent_path=args.agent,
-        stepping=args.stepping,
+    if args.hier is not None:
+        kind = "hier"
+    elif args.chaos is not None:
+        kind = "chaos"
+    else:
+        kind = "fleet"
+    meta = {
+        "kind": kind,
+        "app": args.app,
+        "policy": args.policy,
+        "routing": args.routing,
+        "num_nodes": args.nodes,
+    }
+    header = (
+        f"{kind}: {args.nodes} nodes x {cores} cores, app={args.app}, "
+        f"policy={args.policy}, routing={args.routing}"
     )
-    obs = None
-    if args.trace_out:
-        obs = Observability.from_paths(
-            trace_out=args.trace_out,
-            meta={
-                "kind": "fleet",
-                "app": args.app,
-                "policy": args.policy,
-                "routing": args.routing,
-                "num_nodes": args.nodes,
-                "seed": seed,
-            },
-            trace_segment_events=args.trace_segment_events,
-            trace_compress=args.trace_compress,
-            trace_shard_key="node" if args.trace_shard_nodes else None,
+
+    plan = None
+    if args.chaos is not None:
+        from .faults import standard_chaos_plan
+
+        plan = standard_chaos_plan(
+            args.chaos,
+            args.nodes,
+            trace.duration,
+            seed=seed,
+            retry_budget=args.retry_budget,
+            retry_backoff=args.retry_backoff,
+            recovery_time=args.recovery,
+            drop_in_flight=args.drop_in_flight,
         )
-    try:
-        metrics = ClusterSim(config, trace, obs=obs).run()
-    finally:
-        if obs is not None:
-            obs.close()
-
-    def _ms(seconds: float) -> float:
-        return seconds * 1e3
-
-    rows = []
-    for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed)):
-        rows.append(
-            [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
-             m.timeouts, _ms(m.p95_latency), _ms(m.tail_latency)]
+        meta.update(intensity=args.chaos, failover=not args.no_failover)
+        header += (
+            f", intensity={args.chaos:g}, "
+            f"failover={'off' if args.no_failover else 'on'}"
         )
-    f = metrics.fleet
-    rows.append(
-        ["fleet", sum(metrics.routed), f.avg_power_watts, f.energy_joules,
-         f.completed, f.timeouts, _ms(f.p95_latency), _ms(f.tail_latency)]
-    )
-    print(
-        f"fleet: {args.nodes} nodes x {cores} cores, app={args.app}, "
-        f"policy={args.policy}, routing={args.routing}, seed={seed}"
-    )
-    print(
-        format_table(
-            ["node", "routed", "power(W)", "energy(J)", "completed",
-             "timeouts", "p95(ms)", "p99(ms)"],
-            rows,
-            "{:.2f}",
+
+    hier = manager = fleet_agent = None
+    if args.hier is not None:
+        from .hier import HierConfig
+
+        try:
+            hier = HierConfig(
+                algo=args.hier,
+                control=args.control,
+                train=not args.eval,
+                agent_path=args.fleet_agent,
+                shared_replay=args.shared_replay,
+                fed_avg_every=args.fed_avg_every,
+            )
+        except ValueError as exc:
+            print(f"invalid hier configuration: {exc}", file=sys.stderr)
+            return 2
+        meta.update(algo=args.hier, control=args.control, train=not args.eval)
+        header += (
+            f", algo={args.hier}, control={args.control}, "
+            f"mode={'eval' if args.eval else 'train'}"
         )
-    )
-    if cap is not None:
-        verdict = "ok" if metrics.cap_ok else "EXCEEDED"
-        print(
-            f"power cap: budget={cap:.1f} W, "
-            f"peak window={metrics.max_window_power:.1f} W, "
-            f"throttled windows={metrics.throttled_windows} [{verdict}]"
-        )
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
-    return 0
+        if args.checkpoint_dir is not None:
+            from .checkpoint import CheckpointManager
 
+            manager = CheckpointManager(args.checkpoint_dir, prefix="hier")
+            if args.resume:
+                try:
+                    fleet_agent = _load_fleet_agent(
+                        manager, args.checkpoint_dir, args.nodes, hier, seed
+                    )
+                except ValueError as exc:
+                    print(f"--resume: {exc}", file=sys.stderr)
+                    return 2
+                if fleet_agent is None:
+                    print(
+                        f"--resume: no fleet-agent snapshot in "
+                        f"{args.checkpoint_dir!r}; starting fresh",
+                        file=sys.stderr,
+                    )
+    meta["seed"] = seed
+    header += f", seed={seed}"
 
-def _cmd_chaos(args) -> int:
-    from .analysis.reporting import format_table
-    from .cluster import ClusterConfig, ClusterSim, fleet_power_budget, fleet_trace
-    from .experiments.fleet import FLEET_LOAD, fleet_dimensions
-    from .experiments.scenarios import active_profile, evaluation_trace
-    from .faults import standard_chaos_plan
-    from .obs import Observability
-
-    profile = active_profile(args.full)
-    _, default_cores = fleet_dimensions(profile)
-    cores = args.cores if args.cores is not None else default_cores
-    seed = args.seed if args.seed is not None else profile.seed
-    load = args.load if args.load is not None else FLEET_LOAD
-    trace = fleet_trace(
-        evaluation_trace(profile), args.app, args.nodes, cores, load=load
-    )
-    plan = standard_chaos_plan(
-        args.intensity,
-        args.nodes,
-        trace.duration,
-        seed=seed,
-        retry_budget=args.retry_budget,
-        retry_backoff=args.retry_backoff,
-        recovery_time=args.recovery,
-        drop_in_flight=args.drop_in_flight,
-    )
-    cap = args.power_cap
-    if cap == "auto":
-        cap = fleet_power_budget(args.nodes, cores)
     config = ClusterConfig(
         app=args.app,
         num_nodes=args.nodes,
@@ -453,178 +451,13 @@ def _cmd_chaos(args) -> int:
         fault_plan=plan,
         health_aware=False if args.no_failover else None,
         stepping=args.stepping,
-    )
-    obs = None
-    if args.trace_out:
-        obs = Observability.from_paths(
-            trace_out=args.trace_out,
-            meta={
-                "kind": "chaos",
-                "app": args.app,
-                "policy": args.policy,
-                "routing": args.routing,
-                "num_nodes": args.nodes,
-                "intensity": args.intensity,
-                "failover": not args.no_failover,
-                "seed": seed,
-            },
-            trace_segment_events=args.trace_segment_events,
-            trace_compress=args.trace_compress,
-            trace_shard_key="node" if args.trace_shard_nodes else None,
-        )
-    try:
-        metrics = ClusterSim(config, trace, obs=obs).run()
-    finally:
-        if obs is not None:
-            obs.close()
-
-    def _ms(seconds: float) -> float:
-        return seconds * 1e3
-
-    rows = []
-    for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed)):
-        rows.append(
-            [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
-             m.timeouts, _ms(m.p95_latency), _ms(m.tail_latency),
-             metrics.node_availability[node]]
-        )
-    f = metrics.fleet
-    rows.append(
-        ["fleet", sum(metrics.routed), f.avg_power_watts, f.energy_joules,
-         f.completed, f.timeouts, _ms(f.p95_latency), _ms(f.tail_latency),
-         metrics.fleet_availability]
-    )
-    print(
-        f"chaos: {args.nodes} nodes x {cores} cores, app={args.app}, "
-        f"policy={args.policy}, routing={args.routing}, "
-        f"intensity={args.intensity:g}, "
-        f"failover={'off' if args.no_failover else 'on'}, seed={seed}"
-    )
-    print(
-        format_table(
-            ["node", "routed", "power(W)", "energy(J)", "completed",
-             "timeouts", "p95(ms)", "p99(ms)", "avail"],
-            rows,
-            "{:.2f}",
-        )
-    )
-    print(
-        f"chaos: crashes={metrics.crashes}, "
-        f"redispatched={metrics.redispatches}, "
-        f"dropped={metrics.dropped_requests}, "
-        f"unroutable={metrics.unroutable}, "
-        f"partitions={metrics.partitions}, "
-        f"availability={metrics.fleet_availability:.3f}, "
-        f"sla={'met' if f.sla_met else 'MISS'}"
-    )
-    if cap is not None:
-        verdict = "ok" if metrics.cap_ok else "EXCEEDED"
-        print(
-            f"power cap: budget={cap:.1f} W, "
-            f"peak window={metrics.max_window_power:.1f} W, "
-            f"throttled windows={metrics.throttled_windows} [{verdict}]"
-        )
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
-    return 0
-
-
-def _cmd_hier(args) -> int:
-    from .analysis.reporting import format_table
-    from .cluster import ClusterConfig, ClusterSim, fleet_power_budget, fleet_trace
-    from .experiments.fleet import fleet_dimensions
-    from .experiments.hier import HIER_LOAD
-    from .experiments.scenarios import active_profile, evaluation_trace
-    from .hier import HierConfig, build_fleet_agent
-    from .obs import Observability
-    from .parallel.pool import derive_seed
-
-    profile = active_profile(args.full)
-    _, default_cores = fleet_dimensions(profile)
-    cores = args.cores if args.cores is not None else default_cores
-    seed = args.seed if args.seed is not None else profile.seed
-    load = args.load if args.load is not None else HIER_LOAD
-    trace = fleet_trace(
-        evaluation_trace(profile), args.app, args.nodes, cores, load=load
-    )
-    budget = args.power_budget
-    if budget == "auto":
-        budget = fleet_power_budget(args.nodes, cores)
-    try:
-        hier = HierConfig(
-            algo=args.algo,
-            control=args.control,
-            train=not args.eval,
-            agent_path=args.agent,
-            shared_replay=args.shared_replay,
-            fed_avg_every=args.fed_avg_every,
-        )
-    except ValueError as exc:
-        print(f"invalid hier configuration: {exc}", file=sys.stderr)
-        return 2
-    config = ClusterConfig(
-        app=args.app,
-        num_nodes=args.nodes,
-        cores_per_node=cores,
-        policy=args.policy,
-        routing=args.routing,
-        power_cap_watts=budget,
-        seed=seed,
-        stepping=args.stepping,
         hier=hier,
     )
-
-    manager = None
-    fleet_agent = None
-    if args.checkpoint_dir is not None:
-        from .checkpoint import CheckpointManager
-
-        manager = CheckpointManager(args.checkpoint_dir, prefix="hier")
-        if args.resume:
-            record = manager.load_latest()
-            if record is None:
-                print(
-                    f"--resume: no fleet-agent snapshot in "
-                    f"{args.checkpoint_dir!r}; starting fresh",
-                    file=sys.stderr,
-                )
-            elif record.meta.get("kind") != "hier-fleet-agent":
-                print(
-                    f"--resume: newest snapshot in {args.checkpoint_dir!r} "
-                    f"is not a fleet-agent checkpoint "
-                    f"(kind={record.meta.get('kind')!r})",
-                    file=sys.stderr,
-                )
-                return 2
-            else:
-                fleet_agent = build_fleet_agent(
-                    args.nodes, hier, derive_seed(seed, "hier", "fleet-agent")
-                )
-                try:
-                    fleet_agent.load_state_dict(record.state["fleet_agent"])
-                except (KeyError, ValueError) as exc:
-                    print(f"--resume: snapshot rejected: {exc}", file=sys.stderr)
-                    return 2
-                print(
-                    f"resumed fleet agent from step {record.step} "
-                    f"({record.path})"
-                )
-
     obs = None
     if args.trace_out:
         obs = Observability.from_paths(
             trace_out=args.trace_out,
-            meta={
-                "kind": "hier",
-                "app": args.app,
-                "policy": args.policy,
-                "routing": args.routing,
-                "num_nodes": args.nodes,
-                "algo": args.algo,
-                "control": args.control,
-                "train": not args.eval,
-                "seed": seed,
-            },
+            meta=meta,
             trace_segment_events=args.trace_segment_events,
             trace_compress=args.trace_compress,
             trace_shard_key="node" if args.trace_shard_nodes else None,
@@ -636,46 +469,50 @@ def _cmd_hier(args) -> int:
         if obs is not None:
             obs.close()
 
-    def _ms(seconds: float) -> float:
-        return seconds * 1e3
-
-    rows = []
-    for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed)):
-        rows.append(
-            [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
-             m.timeouts, _ms(m.p95_latency), _ms(m.tail_latency)]
-        )
+    headers = ["node", "routed", "power(W)", "energy(J)", "completed",
+               "timeouts", "p95(ms)", "p99(ms)"]
+    rows = [
+        [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
+         m.timeouts, m.p95_latency * 1e3, m.tail_latency * 1e3]
+        for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed))
+    ]
     f = metrics.fleet
     rows.append(
         ["fleet", sum(metrics.routed), f.avg_power_watts, f.energy_joules,
-         f.completed, f.timeouts, _ms(f.p95_latency), _ms(f.tail_latency)]
+         f.completed, f.timeouts, f.p95_latency * 1e3, f.tail_latency * 1e3]
     )
-    print(
-        f"hier: {args.nodes} nodes x {cores} cores, app={args.app}, "
-        f"policy={args.policy}, routing={args.routing}, "
-        f"algo={args.algo}, control={args.control}, "
-        f"mode={'eval' if args.eval else 'train'}, seed={seed}"
-    )
-    print(
-        format_table(
-            ["node", "routed", "power(W)", "energy(J)", "completed",
-             "timeouts", "p95(ms)", "p99(ms)"],
-            rows,
-            "{:.2f}",
+    if plan is not None:
+        headers.append("avail")
+        for row, avail in zip(
+            rows, [*metrics.node_availability, metrics.fleet_availability]
+        ):
+            row.append(avail)
+    print(header)
+    print(format_table(headers, rows, "{:.2f}"))
+    if plan is not None:
+        print(
+            f"chaos: crashes={metrics.crashes}, "
+            f"redispatched={metrics.redispatches}, "
+            f"dropped={metrics.dropped_requests}, "
+            f"unroutable={metrics.unroutable}, "
+            f"partitions={metrics.partitions}, "
+            f"availability={metrics.fleet_availability:.3f}, "
+            f"sla={'met' if f.sla_met else 'MISS'}"
         )
-    )
-    verdict = "ok" if metrics.cap_ok else "EXCEEDED"
-    print(
-        f"power cap: budget={budget:.1f} W, "
-        f"peak window={metrics.max_window_power:.1f} W, "
-        f"throttled windows={metrics.throttled_windows} [{verdict}]"
-    )
-    print(
-        f"fleet agent: decisions={metrics.hier_decisions}, "
-        f"updates={metrics.hier_updates}, "
-        f"fed_rounds={metrics.hier_fed_rounds}, "
-        f"sla={'met' if f.sla_met else 'MISS'}"
-    )
+    if cap is not None:
+        verdict = "ok" if metrics.cap_ok else "EXCEEDED"
+        print(
+            f"power cap: budget={cap:.1f} W, "
+            f"peak window={metrics.max_window_power:.1f} W, "
+            f"throttled windows={metrics.throttled_windows} [{verdict}]"
+        )
+    if hier is not None:
+        print(
+            f"fleet agent: decisions={metrics.hier_decisions}, "
+            f"updates={metrics.hier_updates}, "
+            f"fed_rounds={metrics.hier_fed_rounds}, "
+            f"sla={'met' if f.sla_met else 'MISS'}"
+        )
     if manager is not None:
         step = (manager.latest_step() or 0) + 1
         path = manager.save(
@@ -684,17 +521,45 @@ def _cmd_hier(args) -> int:
             meta={
                 "kind": "hier-fleet-agent",
                 "num_nodes": args.nodes,
-                "algo": args.algo,
+                "algo": args.hier,
                 "control": args.control,
             },
         )
         print(f"fleet-agent checkpoint written to {path}")
-    if args.save_agent:
-        sim.fleet_agent.save(args.save_agent)
-        print(f"fleet-agent parameters saved to {args.save_agent}")
+    if args.save_fleet_agent:
+        sim.fleet_agent.save(args.save_fleet_agent)
+        print(f"fleet-agent parameters saved to {args.save_fleet_agent}")
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
     return 0
+
+
+def _load_fleet_agent(manager, checkpoint_dir, num_nodes, hier, seed):
+    """The fleet agent restored from the newest snapshot in ``manager``.
+
+    Returns ``None`` when there is no snapshot; raises ``ValueError`` when
+    the newest one is not a loadable fleet-agent checkpoint.
+    """
+    from .hier import build_fleet_agent
+    from .parallel.pool import derive_seed
+
+    record = manager.load_latest()
+    if record is None:
+        return None
+    if record.meta.get("kind") != "hier-fleet-agent":
+        raise ValueError(
+            f"newest snapshot in {checkpoint_dir!r} is not a fleet-agent "
+            f"checkpoint (kind={record.meta.get('kind')!r})"
+        )
+    fleet_agent = build_fleet_agent(
+        num_nodes, hier, derive_seed(seed, "hier", "fleet-agent")
+    )
+    try:
+        fleet_agent.load_state_dict(record.state["fleet_agent"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"snapshot rejected: {exc}") from exc
+    print(f"resumed fleet agent from step {record.step} ({record.path})")
+    return fleet_agent
 
 
 def _cmd_soak(args) -> int:
@@ -866,8 +731,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(fn=_cmd_train)
 
+    from .cluster import NODE_POLICIES
+    from .hier.config import HIER_ALGOS, HIER_CONTROLS
+
     sp = sub.add_parser(
-        "fleet", help="run a multi-node cluster under one arrival stream"
+        "fleet",
+        help="run a multi-node cluster under one arrival stream, optionally "
+        "under a seeded fault plan (--chaos) and a learned fleet-level "
+        "budget coordinator (--hier)",
     )
     sp.add_argument("--app", default="xapian")
     sp.add_argument(
@@ -879,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cores per node (default: profile-sized)",
     )
     sp.add_argument(
-        "--policy", default="baseline",
-        help="per-node power policy: baseline, retail, gemini, deeppower",
+        "--policy", default="baseline", choices=sorted(NODE_POLICIES),
+        help="per-node power policy (default: baseline)",
     )
     sp.add_argument(
         "--routing", default="round-robin",
@@ -890,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--power-cap", type=_power_cap_arg, default=None,
         help="global fleet power budget in watts, or 'auto' for a budget at "
-        "70%% of the fleet's controllable range (default: uncapped)",
+        "70%% of the fleet's controllable range (default: uncapped; "
+        "required by --hier, whose agent apportions it)",
     )
     sp.add_argument(
         "--load", type=_positive_float, default=None,
@@ -899,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
     sp.add_argument(
-        "--agent", default=None,
+        "--agent", type=_in_file_arg, default=None,
         help="trained agent .npz for --policy deeppower (default: untrained)",
     )
     sp.add_argument("--full", action="store_true", help="full-scale profile")
@@ -912,195 +784,118 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--trace-out", type=_out_file_arg, default=None,
-        help="write a node-tagged JSONL fleet trace here "
+        help="write a node-tagged JSONL fleet trace here, with "
+        "node-down/node-up/redispatch events under --chaos and "
+        "coordinator-decision events under --hier "
         "(inspect with: deeppower trace summarize FILE --group-by node)",
     )
-    _add_trace_layout_args(sp)
-    sp.set_defaults(fn=_cmd_fleet)
+    sp.add_argument(
+        "--trace-segment-events", type=_positive_int, default=None,
+        help="rotate the trace into numbered segment files every N events "
+        "(--trace-out becomes a JSON segment index; read back "
+        "transparently by trace summarize/tail/query)",
+    )
+    sp.add_argument(
+        "--trace-compress", default=None, choices=["gzip", "zstd"],
+        help="compress the trace (gzip: stdlib; zstd: needs the optional "
+        "zstandard module)",
+    )
+    sp.add_argument(
+        "--trace-shard-nodes", action="store_true",
+        help="route node-tagged events into per-node segment files "
+        "(implies the indexed layout; per-node order is preserved, "
+        "cross-node interleaving is not)",
+    )
 
-    sp = sub.add_parser(
-        "chaos",
-        help="run the fleet under a seeded fault plan (crashes, rack "
-        "failures, telemetry partitions) with failover dispatch",
+    # Optional groups: every flag but the switch is rejected without it
+    # (see _validate_fleet), so these default to None and take their real
+    # defaults from _FLEET_GROUPS once validated.
+    chaos = sp.add_argument_group(
+        "chaos", "seeded fault plan (crashes, rack failures, telemetry "
+        "partitions) with failover dispatch; switched on by --chaos",
     )
-    sp.add_argument("--app", default="xapian")
-    sp.add_argument(
-        "--nodes", type=_positive_int, default=4,
-        help="number of simulated machines (default: 4)",
+    chaos.add_argument(
+        "--chaos", type=_positive_float, default=None, metavar="INTENSITY",
+        help="run under the standard chaos plan at this intensity (> 0; "
+        "scales outage durations and per-node DVFS fault rates)",
     )
-    sp.add_argument(
-        "--cores", type=_positive_int, default=None,
-        help="cores per node (default: profile-sized)",
-    )
-    sp.add_argument(
-        "--policy", default="retail",
-        help="per-node power policy: baseline, retail, gemini, deeppower",
-    )
-    sp.add_argument(
-        "--routing", default="round-robin",
-        choices=["round-robin", "jsq", "power-aware"],
-        help="dispatcher routing policy",
-    )
-    sp.add_argument(
-        "--intensity", type=_positive_float, default=1.0,
-        help="fault-plan intensity scale (> 0; scales outage durations and "
-        "per-node DVFS fault rates)",
-    )
-    sp.add_argument(
-        "--retry-budget", type=_nonneg_int, default=2,
+    chaos.add_argument(
+        "--retry-budget", type=_nonneg_int, default=None,
         help="re-dispatch attempts per evacuated request before it is "
         "dropped (>= 0; default: 2)",
     )
-    sp.add_argument(
-        "--retry-backoff", type=_positive_float, default=0.05,
+    chaos.add_argument(
+        "--retry-backoff", type=_positive_float, default=None,
         help="base re-dispatch delay in seconds, doubled per retry "
         "(> 0; default: 0.05)",
     )
-    sp.add_argument(
+    chaos.add_argument(
         "--recovery", type=_nonneg_float, default=None,
         help="seconds a restarted node stays frequency-capped in the "
         "'recovering' state (default: 5%% of the trace)",
     )
-    sp.add_argument(
-        "--drop-in-flight", action="store_true",
+    chaos.add_argument(
+        "--drop-in-flight", action="store_true", default=None,
         help="drop requests caught on a crashing node instead of "
         "re-dispatching them",
     )
-    sp.add_argument(
-        "--no-failover", action="store_true",
+    chaos.add_argument(
+        "--no-failover", action="store_true", default=None,
         help="ablation: disable health-aware dispatch so routers keep "
         "addressing down nodes",
     )
-    sp.add_argument(
-        "--power-cap", type=_power_cap_arg, default=None,
-        help="global fleet power budget in watts, or 'auto' (default: "
-        "uncapped)",
-    )
-    sp.add_argument(
-        "--load", type=_positive_float, default=None,
-        help="mean fleet utilisation the arrival trace is scaled to "
-        "(default: the fleet experiment's load)",
-    )
-    sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
-    sp.add_argument(
-        "--agent", default=None,
-        help="trained agent .npz for --policy deeppower (default: untrained)",
-    )
-    sp.add_argument("--full", action="store_true", help="full-scale profile")
-    sp.add_argument(
-        "--stepping", default="auto", choices=["auto", "batched", "scalar"],
-        help="fleet stepping strategy: 'batched' vectorises controller "
-        "ticks and dispatch across nodes, 'scalar' forces the per-node "
-        "path, 'auto' (default) batches at >= 16 nodes; results are "
-        "bitwise identical either way",
-    )
-    sp.add_argument(
-        "--trace-out", type=_out_file_arg, default=None,
-        help="write a node-tagged JSONL chaos trace here, including "
-        "node-down/node-up/redispatch events "
-        "(inspect with: deeppower trace summarize FILE --group-by node)",
-    )
-    _add_trace_layout_args(sp)
-    sp.set_defaults(fn=_cmd_chaos)
 
-    from .hier.config import HIER_ALGOS, HIER_CONTROLS
-
-    sp = sub.add_parser(
-        "hier",
-        help="run a fleet whose watt budget (and/or routing weights) is "
-        "apportioned by a learned fleet-level agent instead of the "
-        "heuristic coordinator",
+    hier = sp.add_argument_group(
+        "hier", "a learned fleet-level agent apportions the --power-cap "
+        "budget (and/or routing weights) instead of the heuristic "
+        "coordinator; switched on by --hier",
     )
-    sp.add_argument("--app", default="xapian")
-    sp.add_argument(
-        "--nodes", type=_positive_int, default=4,
-        help="number of simulated machines (default: 4)",
+    hier.add_argument(
+        "--hier", default=None, choices=list(HIER_ALGOS),
+        help="upper-level learner of the fleet agent",
     )
-    sp.add_argument(
-        "--cores", type=_positive_int, default=None,
-        help="cores per node (default: profile-sized)",
-    )
-    sp.add_argument(
-        "--policy", default="baseline",
-        help="per-node power policy: baseline, retail, gemini, deeppower",
-    )
-    sp.add_argument(
-        "--routing", default="power-aware",
-        choices=["round-robin", "jsq", "power-aware"],
-        help="dispatcher routing policy (default: power-aware)",
-    )
-    sp.add_argument(
-        "--power-budget", type=_power_cap_arg, default="auto",
-        help="global fleet power budget in watts the agent apportions, or "
-        "'auto' (default) for a budget at 70%% of the fleet's "
-        "controllable range",
-    )
-    sp.add_argument(
-        "--algo", default="ddpg", choices=list(HIER_ALGOS),
-        help="upper-level learner (default: ddpg)",
-    )
-    sp.add_argument(
-        "--control", default="budget", choices=list(HIER_CONTROLS),
+    hier.add_argument(
+        "--control", default=None, choices=list(HIER_CONTROLS),
         help="what the agent's action controls: per-node watt budgets, "
         "dispatcher routing weights, or both (default: budget)",
     )
-    sp.add_argument(
-        "--eval", action="store_true",
+    hier.add_argument(
+        "--eval", action="store_true", default=None,
         help="run the actor frozen: no exploration noise, no learner "
         "updates (default: train online during the run)",
     )
-    sp.add_argument(
-        "--agent", default=None,
+    hier.add_argument(
+        "--fleet-agent", type=_in_file_arg, default=None,
         help="fleet-agent parameters .npz to preload (written by "
-        "--save-agent)",
+        "--save-fleet-agent)",
     )
-    sp.add_argument(
-        "--save-agent", type=_out_file_arg, default=None,
+    hier.add_argument(
+        "--save-fleet-agent", type=_out_file_arg, default=None,
         help="save the fleet agent's network parameters here after the "
-        "run (the --agent eval artifact)",
+        "run (the --fleet-agent eval artifact)",
     )
-    sp.add_argument(
-        "--shared-replay", action="store_true",
+    hier.add_argument(
+        "--shared-replay", action="store_true", default=None,
         help="pool the node agents' transitions through one shared replay "
         "buffer (--policy deeppower only; ignored otherwise)",
     )
-    sp.add_argument(
-        "--fed-avg-every", type=_nonneg_int, default=0,
+    hier.add_argument(
+        "--fed-avg-every", type=_nonneg_int, default=None,
         help="coordination windows between federated parameter averages "
-        "across node agents (0 disables; requires --shared-replay)",
+        "across node agents (0 disables, the default; requires "
+        "--shared-replay)",
     )
-    sp.add_argument(
-        "--load", type=_positive_float, default=None,
-        help="mean fleet utilisation the arrival trace is scaled to "
-        "(default: the hier experiment's load)",
-    )
-    sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
-    sp.add_argument("--full", action="store_true", help="full-scale profile")
-    sp.add_argument(
-        "--stepping", default="auto", choices=["auto", "batched", "scalar"],
-        help="fleet stepping strategy: 'batched' vectorises controller "
-        "ticks and dispatch across nodes, 'scalar' forces the per-node "
-        "path, 'auto' (default) batches at >= 16 nodes; results are "
-        "bitwise identical either way",
-    )
-    sp.add_argument(
+    hier.add_argument(
         "--checkpoint-dir", default=None,
         help="write the fleet agent's complete learner state (networks, "
         "optimisers, replay, noise, RNG) here after the run",
     )
-    sp.add_argument(
-        "--resume", action="store_true",
+    hier.add_argument(
+        "--resume", action="store_true", default=None,
         help="preload the newest fleet-agent snapshot from "
         "--checkpoint-dir and continue training from it",
     )
-    sp.add_argument(
-        "--trace-out", type=_out_file_arg, default=None,
-        help="write a node-tagged JSONL trace here, including "
-        "coordinator-decision events "
-        "(inspect with: deeppower trace summarize FILE --group-by node)",
-    )
-    _add_trace_layout_args(sp)
-    sp.set_defaults(fn=_cmd_hier)
+    sp.set_defaults(fn=_cmd_fleet)
 
     sp = sub.add_parser(
         "soak",
@@ -1220,6 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "fleet":
+        _validate_fleet(parser, args)
     _validate_resume(parser, args)
     return args.fn(args)
 

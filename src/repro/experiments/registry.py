@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from .ablations import (
@@ -27,10 +28,8 @@ from .fig7_main import render_fig7, run_fig7
 from .fig8_timeseries import render_fig8, run_fig8
 from .fig9_10_freq_traces import render_freq_traces, run_freq_traces
 from .fig11_fixed_params import render_fig11, run_fig11
-from .chaos import render_chaos, run_chaos
 from .fault_tolerance import render_fault_tolerance, run_fault_tolerance
-from .fleet import render_fleet, run_fleet
-from .hier import render_hier, run_hier
+from .fleet import render_fleet_grid, run_fleet_grid
 from .overhead import render_overhead, run_overhead
 from .robustness import render_robustness, run_mmpp_robustness
 from .soak import render_soak, run_soak
@@ -141,9 +140,14 @@ REGISTRY: Dict[str, Experiment] = {
         Experiment("robustness-mmpp", "policies under flash-crowd (MMPP) arrivals", run_mmpp_robustness, render_robustness),
         Experiment("fault-tolerance", "policies under injected sensor/actuator faults", run_fault_tolerance, render_fault_tolerance),
         Experiment("control-soak", "DeepPower over a lossy control bus: degraded mode vs no-defence ablation", run_soak, render_soak),
-        Experiment("fleet", "cluster fleet: routing x power policy grid under a global power cap", run_fleet, render_fleet),
-        Experiment("chaos", "fleet under seeded node failures: fault intensity x routing, failover vs none", run_chaos, render_chaos),
-        Experiment("hier", "hierarchical fleet RL: learned vs heuristic budget coordinator vs uncapped", run_hier, render_hier),
+        *(
+            Experiment(name, description, partial(run_fleet_grid, name), partial(render_fleet_grid, name))
+            for name, description in (
+                ("fleet", "cluster fleet: routing x power policy grid under a global power cap"),
+                ("chaos", "fleet under seeded node failures: fault intensity x routing, failover vs none"),
+                ("hier", "hierarchical fleet RL: learned vs heuristic budget coordinator vs uncapped"),
+            )
+        ),
     ]
 }
 

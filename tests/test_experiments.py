@@ -1,5 +1,7 @@
 """Tests for the experiment harness (runner, calibration, registry, modules)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -182,8 +184,6 @@ class TestChaosExperiment:
         assert "failover" in REGISTRY["chaos"].description
 
     def test_render_contrasts_failover_and_ablation(self):
-        from repro.experiments.chaos import render_chaos
-
         def fleet(p99, met):
             return {
                 "avg_power_watts": 60.0, "energy_joules": 3600.0,
@@ -211,15 +211,110 @@ class TestChaosExperiment:
                  "error": "boom"},
             ],
         }
-        out = render_chaos(result)
+        out = get_experiment("chaos").render(result)
         assert "chaos: 4 nodes" in out
         assert "met" in out and "MISS" in out
         assert "NO" in out  # the ablation row is flagged
         assert "ERROR" in out
 
-    def test_run_chaos_grid_shape_smoke(self, monkeypatch):
+
+def _grid_metrics(tail, energy=3600.0, sla_met=True, cap_ok=True):
+    return {
+        "fleet": {
+            "avg_power_watts": 60.04, "energy_joules": energy,
+            "tail_latency": tail, "sla": 0.08, "sla_met": sla_met,
+            "timeout_rate": 0.0123,
+        },
+        "max_window_power": 71.25, "routed_imbalance": 1.04,
+        "cap_ok": cap_ok, "crashes": 2, "redispatches": 3,
+        "dropped_requests": 1, "fleet_availability": 0.9312,
+        "hier_decisions": 60,
+    }
+
+
+_GRID_SHAPE = {"profile": "smoke", "app": "xapian", "num_nodes": 4,
+               "cores_per_node": 2, "seed": 2023}
+#: One fixed result per fleet grid: an ok row, a NaN tail, a ``None`` cap
+#: and an error row, in the shape the grid runners return.
+SYNTHETIC_GRID_RESULTS = {
+    "fleet": dict(_GRID_SHAPE, budget_watts=82.94, rows=[
+        {"routing": "jsq", "policy": "retail", "cap_watts": None,
+         "metrics": _grid_metrics(0.0741)},
+        {"routing": "power-aware", "policy": "gemini", "cap_watts": 82.94,
+         "metrics": _grid_metrics(float("nan"), cap_ok=False)},
+        {"routing": "power-aware", "policy": "baseline", "cap_watts": 82.94,
+         "error": "boom"},
+    ]),
+    "chaos": dict(_GRID_SHAPE, rows=[
+        {"routing": "round-robin", "intensity": 0.0, "failover": True,
+         "metrics": _grid_metrics(0.07)},
+        {"routing": "round-robin", "intensity": 1.0, "failover": False,
+         "metrics": _grid_metrics(float("nan"), sla_met=False)},
+        {"routing": "jsq", "intensity": 1.0, "failover": True,
+         "error": "boom"},
+    ]),
+    "hier": dict(_GRID_SHAPE, budget_watts=82.94, rows=[
+        {"coordinator": "learned", "policy": "baseline", "cap_watts": 82.94,
+         "metrics": _grid_metrics(0.075, energy=3500.0)},
+        {"coordinator": "heuristic", "policy": "baseline", "cap_watts": 82.94,
+         "metrics": _grid_metrics(0.072, energy=3700.0)},
+        {"coordinator": "uncapped", "policy": "baseline", "cap_watts": None,
+         "metrics": _grid_metrics(float("nan"), sla_met=False)},
+        {"coordinator": "learned", "policy": "controller", "cap_watts": 82.94,
+         "error": "boom"},
+    ]),
+}
+
+#: The rendered text of each synthetic result, byte for byte (trailing
+#: column padding included).
+PINNED_RENDERS = {
+    'fleet': (
+        'fleet: 4 nodes x 2 cores, app=xapian, profile=smoke, seed=2023, budget=82.9 W (capped rows)',
+        'routing      policy    cap(W)  power(W)  peak(W)  energy(J)  p99(ms)  p99/SLA  timeout  imbalance  cap_ok',
+        '---------------------------------------------------------------------------------------------------------',
+        'jsq          retail    -       60.0      71.2     3600       74.10    0.93     1.23%    1.04       yes   ',
+        'power-aware  gemini    82.9    60.0      71.2     3600       n/a      n/a      1.23%    1.04       NO    ',
+        'power-aware  baseline  82.9    ERROR     ERROR    ERROR      ERROR    ERROR    ERROR    ERROR      ERROR ',
+    ),
+    'chaos': (
+        'chaos: 4 nodes x 2 cores, app=xapian, policy=retail, profile=smoke, seed=2023 (failover=NO rows: health-aware dispatch disabled)',
+        'routing      intensity  failover  power(W)  energy(J)  p99(ms)  p99/SLA  sla    timeout  crashes  redisp  dropped  avail',
+        '------------------------------------------------------------------------------------------------------------------------',
+        'round-robin  0.0        yes       60.0      3600       70.00    0.88     met    1.23%    2        3       1        0.931',
+        'round-robin  1.0        NO        60.0      3600       n/a      n/a      MISS   1.23%    2        3       1        0.931',
+        'jsq          1.0        yes       ERROR     ERROR      ERROR    ERROR    ERROR  ERROR    ERROR    ERROR   ERROR    ERROR',
+    ),
+    'hier': (
+        'hier: 4 nodes x 2 cores, app=xapian, profile=smoke, seed=2023, budget=82.9 W (capped rows)',
+        'policy      coordinator  cap(W)  power(W)  energy(J)  p99(ms)  p99/SLA  sla_met  timeout  imbalance  decisions  cap_ok',
+        '----------------------------------------------------------------------------------------------------------------------',
+        'baseline    learned      82.9    60.0      3500       75.00    0.94     yes      1.23%    1.04       60         yes   ',
+        'baseline    heuristic    82.9    60.0      3700       72.00    0.90     yes      1.23%    1.04       60         yes   ',
+        'baseline    uncapped     -       60.0      3600       n/a      n/a      NO       1.23%    1.04       60         yes   ',
+        'controller  learned      82.9    ERROR     ERROR      ERROR    ERROR    ERROR    ERROR    ERROR      ERROR      ERROR ',
+        'learned <= heuristic energy at equal-or-better SLA: baseline (5.4% energy saved)',
+    ),
+}
+
+
+class TestFleetGrids:
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_GRID_RESULTS))
+    def test_render_pinned(self, name):
+        out = get_experiment(name).render(SYNTHETIC_GRID_RESULTS[name])
+        assert out == "\n".join(PINNED_RENDERS[name])
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_GRID_RESULTS))
+    def test_registry_forwards_parallel_options(self, name):
+        # Experiment.execute forwards jobs/result_cache/trace_dir only to
+        # run functions whose signature declares them.
+        params = inspect.signature(REGISTRY[name].run).parameters
+        assert {"jobs", "result_cache", "trace_dir"} <= set(params)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_GRID_RESULTS))
+    def test_run_fleet_grid_shape_smoke(self, name, monkeypatch):
         """The grid builder fans the right cells without running sims."""
-        import repro.experiments.chaos as chaos_mod
+        import repro.experiments.fleet as fleet_mod
+        from repro.cluster import fleet_power_budget
 
         captured = {}
 
@@ -232,17 +327,38 @@ class TestChaosExperiment:
 
             return [_O()] * len(captured["specs"])
 
-        monkeypatch.setattr(chaos_mod, "run_grid", fake_run_grid)
-        result = chaos_mod.run_chaos(full=False, num_nodes=2, seed=5)
+        monkeypatch.setattr(fleet_mod, "run_grid", fake_run_grid)
+        result = fleet_mod.run_fleet_grid(name, full=False, num_nodes=2, seed=5)
+        budget = fleet_power_budget(2, 2, fraction=fleet_mod.CAP_FRACTION)
+        # (label, fault plan?, health_aware, hier?, cap) per cell, in order.
+        expected = {
+            "fleet": [
+                (f"smoke-fleet-{r}", False, None, False, None)
+                for r in ("round-robin", "jsq", "power-aware")
+                for _ in range(3)
+            ] + [("smoke-fleet-capped", False, None, False, budget)] * 3,
+            "chaos": [
+                (f"smoke-chaos-{r}-i{i}", i == "1", None, False, None)
+                for r in ("round-robin", "jsq", "power-aware")
+                for i in ("0", "1")
+            ] + [
+                (f"smoke-chaos-{r}-i1-nofailover", True, False, False, None)
+                for r in ("round-robin", "jsq", "power-aware")
+            ],
+            "hier": [
+                (f"smoke-hier-{c}", False, None, c == "learned",
+                 None if c == "uncapped" else budget)
+                for _ in ("baseline", "controller")
+                for c in ("learned", "heuristic", "uncapped")
+            ],
+        }[name]
         specs = captured["specs"]
-        # routings x intensities + one ablation row per routing.
-        assert len(specs) == len(chaos_mod.CHAOS_ROUTINGS) * (
-            len(chaos_mod.CHAOS_INTENSITIES) + 1
-        )
-        # Intensity-0 baseline rows carry no fault plan (clean cache key).
-        baseline = [s for s in specs if s.fault_plan is None]
-        assert len(baseline) == len(chaos_mod.CHAOS_ROUTINGS)
-        ablations = [s for s in specs if s.health_aware is False]
-        assert len(ablations) == len(chaos_mod.CHAOS_ROUTINGS)
-        assert all(s.fault_plan is not None for s in ablations)
+        assert [
+            (s.label, s.fault_plan is not None, s.health_aware,
+             s.hier is not None, s.power_cap_watts)
+            for s in specs
+        ] == expected
+        assert all(s.num_nodes == 2 and s.seed == 5 for s in specs)
+        assert len(result["rows"]) == len(expected)
         assert all("error" in row for row in result["rows"])
+        assert ("budget_watts" in result) == (name != "chaos")

@@ -59,15 +59,6 @@ an A/B on the same process and machine, the ratio is machine-independent,
 unlike the absolute ticks/sec baseline.  A fully-traced run is also timed
 and reported (informational only; tracing is opt-in and allowed to cost).
 
-Control-bus overhead gate (ISSUE 7)::
-
-    python benchmarks/bench_perf.py --bus
-
-runs the same paired A/B protocol on the DRL runtime with the in-process
-control bus (empty fault plan) versus direct method calls, and fails
-(exit 1) when the bus run is more than ``BUS_OVERHEAD_TOLERANCE`` (5 %)
-slower.  Recorded under the ``bus`` key in BENCH_perf.json.
-
 Learned-coordinator overhead gate (ISSUE 10)::
 
     python benchmarks/bench_perf.py --hier
@@ -134,10 +125,6 @@ TRACE_SUMMARIZE_MBPS_FLOOR = 5.0
 #: --obs-check fails when the metrics-only observability A/B shows more
 #: than this fractional slowdown over the no-observability run.
 OBS_OVERHEAD_TOLERANCE = 0.02
-
-#: --bus fails when the fault-free in-process control bus A/B shows more
-#: than this fractional slowdown over the direct-call runtime.
-BUS_OVERHEAD_TOLERANCE = 0.05
 
 #: --hier fails when the learned budget coordinator (frozen actor) costs
 #: more than this fractional slowdown over the heuristic coordinator at
@@ -332,79 +319,13 @@ def bench_obs_overhead(
     }
 
 
-def bench_bus_overhead(
-    app_name: str = "xapian", num_cores: int = 4,
-    duration: float = 20.0, rps: float = 150.0, seed: int = 3,
-    repeats: int = 5,
-) -> dict:
-    """In-process A/B of the DRL runtime over the control bus vs direct calls.
-
-    Same paired-rounds protocol as :func:`bench_obs_overhead`: one untimed
-    warmup, then each round times the direct-call runtime and the bus-mode
-    runtime (empty fault plan — the exact configuration whose results are
-    bitwise identical to direct calls) back-to-back, and the gate compares
-    the median of per-round ratios.  The bus arm pays for message
-    construction, seq/dedup bookkeeping, and ack handling on every
-    controller window; the gate bounds that at
-    ``BUS_OVERHEAD_TOLERANCE`` (5 %) of the whole run.
-    """
-    from repro.control import ControlPlaneConfig
-    from repro.core import DeepPowerAgent, default_ddpg_config
-    from repro.core.runtime import DeepPowerConfig, DeepPowerRuntime
-    from repro.sim import RngRegistry
-
-    app = get_app(app_name)
-    duration = max(duration, 60.0)
-    trace = constant_trace(rps, duration)
-
-    def _one(control) -> float:
-        agent = DeepPowerAgent(
-            RngRegistry(seed).get("agent"),
-            default_ddpg_config(warmup=8, batch_size=16),
-        )
-        cfg = DeepPowerConfig(control=control)
-
-        def factory(ctx):
-            return DeepPowerRuntime(
-                ctx.engine, ctx.server, ctx.monitor, agent, cfg
-            )
-
-        t0 = time.perf_counter()
-        run_policy(factory, app, trace, num_cores, seed=seed)
-        return time.perf_counter() - t0
-
-    arms = {
-        "direct": lambda: None,
-        "bus": ControlPlaneConfig,
-    }
-    _one(arms["direct"]())  # warmup, discarded
-    rounds = []
-    for _ in range(repeats):
-        rounds.append({name: _one(mk()) for name, mk in arms.items()})
-
-    def _median(vals):
-        s = sorted(vals)
-        mid = len(s) // 2
-        return s[mid] if len(s) % 2 else 0.5 * (s[mid - 1] + s[mid])
-
-    return {
-        "sim_seconds": duration,
-        "repeats": repeats,
-        "direct_seconds": min(r["direct"] for r in rounds),
-        "bus_seconds": min(r["bus"] for r in rounds),
-        # Median of per-round paired ratios; > 1.0 means the bus run was
-        # slower by that factor.
-        "bus_overhead": _median([r["bus"] / r["direct"] for r in rounds]),
-    }
-
-
 def bench_hier_overhead(
     nodes: int = 64, cores_per_node: int = 2, duration: float = 6.0,
     load: float = 0.05, seed: int = 3, repeats: int = 3,
 ) -> dict:
     """In-process A/B of the learned budget coordinator vs the heuristic.
 
-    Same paired-rounds protocol as :func:`bench_bus_overhead`: one untimed
+    Same paired-rounds protocol as :func:`bench_obs_overhead`: one untimed
     warmup, then each round runs the identical 64-node batched fleet under
     the heuristic :class:`~repro.cluster.powercap.PowerCapCoordinator` and
     under the learned coordinator with a frozen actor (``train=False`` —
@@ -833,15 +754,6 @@ def run_benchmarks(args) -> dict:
             f"{hier['decisions']} decisions)"
         )
         result["hier"] = hier
-    if args.bus:
-        print("[bench_perf] control-bus overhead A/B (median of 5 paired rounds) ...")
-        bus = bench_bus_overhead(duration=args.duration)
-        print(
-            f"  direct {bus['direct_seconds']:.2f}s, bus "
-            f"{bus['bus_seconds']:.2f}s "
-            f"({(bus['bus_overhead'] - 1.0) * 100:+.1f}%)"
-        )
-        result["bus"] = bus
     if args.obs_check:
         print("[bench_perf] observability overhead A/B (median of 5 paired rounds) ...")
         obs = bench_obs_overhead(duration=args.duration)
@@ -871,25 +783,6 @@ def check_obs_overhead(result: dict) -> int:
     print(
         f"[bench_perf] obs overhead {(overhead - 1.0) * 100:+.1f}% "
         f"(tolerance {OBS_OVERHEAD_TOLERANCE * 100:.0f}%): OK"
-    )
-    return 0
-
-
-def check_bus_overhead(result: dict) -> int:
-    """Gate the bus-vs-direct A/B; returns a process exit code."""
-    overhead = result["bus"]["bus_overhead"]
-    ceiling = 1.0 + BUS_OVERHEAD_TOLERANCE
-    if overhead > ceiling:
-        print(
-            f"[bench_perf] REGRESSION: control bus costs "
-            f"{(overhead - 1.0) * 100:.1f}% over direct calls "
-            f"(> {BUS_OVERHEAD_TOLERANCE * 100:.0f}% tolerance)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"[bench_perf] bus overhead {(overhead - 1.0) * 100:+.1f}% "
-        f"(tolerance {BUS_OVERHEAD_TOLERANCE * 100:.0f}%): OK"
     )
     return 0
 
@@ -1023,19 +916,15 @@ def main(argv=None) -> int:
                         "(MB/s over a synthetic fleet trace) and the "
                         "compressed-vs-plain size ratio per codec; with "
                         f"--check, gate MB/s at {TRACE_SUMMARIZE_MBPS_FLOOR}")
-    p.add_argument("--bus", action="store_true",
-                   help="also run the control-bus A/B; exit 1 when the "
-                        "fault-free bus costs more than "
-                        f"{BUS_OVERHEAD_TOLERANCE:.0%} over direct calls")
     p.add_argument("--hier", action="store_true",
                    help="also run the learned-vs-heuristic budget "
                         "coordinator A/B at 64 batched nodes; exit 1 when "
                         "the frozen fleet agent's decision path costs more "
-                        f"than {HIER_OVERHEAD_TOLERANCE:.0%}")
+                        f"than {HIER_OVERHEAD_TOLERANCE * 100:.0f}%%")
     p.add_argument("--obs-check", action="store_true",
                    help="also run the observability A/B; exit 1 when a "
                         "metrics-only handle costs more than "
-                        f"{OBS_OVERHEAD_TOLERANCE:.0%}")
+                        f"{OBS_OVERHEAD_TOLERANCE * 100:.0f}%%")
     p.add_argument("--baseline", default=DEFAULT_BASELINE,
                    help="baseline JSON for --check")
     args = p.parse_args(argv)
@@ -1051,8 +940,6 @@ def main(argv=None) -> int:
         code = check_regression(result, args.baseline)
     if args.obs_check:
         code = max(code, check_obs_overhead(result))
-    if args.bus:
-        code = max(code, check_bus_overhead(result))
     if args.hier:
         code = max(code, check_hier_overhead(result))
     return code

@@ -91,6 +91,14 @@ _positive_float = _bounded(float, 0, strict=True)
 _nonneg_float = _bounded(float, 0)
 
 
+def _nonneg_float_list(value: str) -> list:
+    """argparse type for a comma-separated list of finite numbers ``>= 0``."""
+    items = [chunk.strip() for chunk in value.split(",") if chunk.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return [_nonneg_float(chunk) for chunk in items]
+
+
 def _out_file_arg(value: str) -> str:
     """argparse type for output file paths (``--trace-out``, ``--metrics-out``).
 
@@ -565,26 +573,9 @@ def _load_fleet_agent(manager, checkpoint_dir, num_nodes, hier, seed):
 def _cmd_soak(args) -> int:
     from .experiments.soak import render_soak, run_soak
 
-    intensities = []
-    for chunk in args.intensities.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            x = float(chunk)
-        except ValueError:
-            print(f"--intensities expects numbers, got {chunk!r}", file=sys.stderr)
-            return 2
-        if x < 0:
-            print(f"--intensities must be >= 0, got {x:g}", file=sys.stderr)
-            return 2
-        intensities.append(x)
-    if not intensities:
-        print("--intensities is empty", file=sys.stderr)
-        return 2
     result = run_soak(
         app_name=args.app,
-        intensities=intensities,
+        intensities=args.intensities,
         seed=args.seed,
         full=args.full,
         use_cache=not args.no_cache,
@@ -904,9 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--app", default="xapian")
     sp.add_argument(
-        "--intensities", default="0,0.5,1",
-        help="comma-separated bus-fault intensities (>= 0; 0 doubles as "
-        "the direct-vs-bus bitwise identity check)",
+        "--intensities", type=_nonneg_float_list, default="0,0.5,1",
+        help="comma-separated bus-fault intensities (>= 0; 0 is the "
+        "fault-free control cell)",
     )
     sp.add_argument(
         "--seed", type=int, default=7,

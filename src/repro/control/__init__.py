@@ -9,13 +9,13 @@ CPU/server.  :class:`InProcessBus` is the deterministic in-process
 transport; a socket transport would slot behind the same three-channel
 interface.
 
-Attach a :class:`ControlPlaneConfig` to ``DeepPowerConfig.control`` to
-switch a runtime into bus mode; with a perfect transport the run is
-bitwise identical to direct calls, and with a
-:class:`~repro.faults.bus.BusFaultPlan` the degraded-mode machinery
-(stale-telemetry hold, ack-timeout retries, deadline escalation into the
-safe-fallback governor) keeps the node SLA-safe — the contrast the
-``control-soak`` experiment measures.
+The bus is the runtime's only wiring to its node: every
+``DeepPowerConfig`` carries a :class:`ControlPlaneConfig`, and the
+endpoint owns the only fallback governor (for deadline misses and
+watchdog trips alike).  With a :class:`~repro.faults.bus.BusFaultPlan`
+the degraded-mode machinery (stale-telemetry hold, ack-timeout retries,
+deadline escalation into the fallback governor) keeps the node SLA-safe —
+the contrast the ``control-soak`` experiment measures.
 """
 
 from .bus import BusFaultInjector, Channel, ControlBus, InProcessBus

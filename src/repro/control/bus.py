@@ -25,13 +25,12 @@ Delivery semantics:
   whose delivery time has arrived (the controller does this at its DRL
   tick) or ``subscribe`` a callback.  Subscribed zero-delay copies are
   delivered in-line during ``publish`` — the in-process fast path, landing
-  exactly where a direct call would — while fault-delayed copies schedule
+  at the send instant — while fault-delayed copies schedule
   an engine event at their delivery time (commands must land mid-window,
   not at the next tick).
 
 Determinism: with no injector a published message is delivered at exactly
-``now`` in publish order, and nothing consumes randomness — which is why
-a fault-free bus run is bitwise identical to the direct-call runtime.
+``now`` in publish order, and nothing consumes randomness.
 """
 
 from __future__ import annotations
@@ -182,8 +181,8 @@ class Channel:
                     deliver_inline = True
         if deliver_inline:
             # Zero-delay copies reach a subscriber in-line (the in-process
-            # fast path), exactly where a direct call would land; only
-            # fault-delayed copies go through the event loop.
+            # fast path) at the send instant; only fault-delayed copies go
+            # through the event loop.
             self._pump()
 
     def poll(self, now: float) -> list:
@@ -241,7 +240,7 @@ class InProcessBus(ControlBus):
     The ``fault_plan`` (when non-empty) arms one shared
     :class:`BusFaultInjector` across the three channels; an empty or
     absent plan builds no injector at all, keeping the fault-free path
-    free of RNG and bitwise identical to direct calls.
+    free of RNG.
     """
 
     def __init__(

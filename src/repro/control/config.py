@@ -1,4 +1,4 @@
-"""Configuration for the runtime's control-plane (bus) mode."""
+"""Configuration for the runtime's control plane (the bus and its node endpoint)."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ __all__ = ["ControlPlaneConfig"]
 class ControlPlaneConfig:
     """Knobs for the message-boundary control loop.
 
-    Attaching a ``ControlPlaneConfig`` to
-    :class:`~repro.core.runtime.DeepPowerConfig` switches the runtime from
-    direct sensor/actuator calls to schema-versioned messages over an
-    :class:`~repro.control.bus.InProcessBus`.  With the default (empty)
-    ``fault_plan`` the run is bitwise identical to the direct-call
-    runtime; a lossy plan exercises the degraded-mode machinery below.
+    :class:`~repro.core.runtime.DeepPowerConfig` always carries one: the
+    runtime talks to its node only through schema-versioned messages over
+    an :class:`~repro.control.bus.InProcessBus`.  The default (empty)
+    ``fault_plan`` is a perfect transport; a lossy plan exercises the
+    degraded-mode machinery below.
 
     Degraded-mode control (``degraded_mode=True``):
 
@@ -58,9 +57,11 @@ class ControlPlaneConfig:
     recovery_windows: int = 2
     #: False = the no-degraded-mode ablation.
     degraded_mode: bool = True
-    #: ``(BaseFreq, ScalingCoef)`` broadcast while escalated.
+    #: ``(BaseFreq, ScalingCoef)`` broadcast while escalated, and the
+    #: watchdog's substitute for a non-finite action.
     safe_action: Tuple[float, float] = (1.0, 1.0)
-    #: Node-side fallback governor (``performance`` | ``ondemand``).
+    #: Node-side fallback governor for deadline misses and watchdog trips
+    #: (``performance`` | ``ondemand``).
     fallback: str = "performance"
     #: Bus misbehaviour to inject; None/empty = perfect transport.
     fault_plan: Optional[BusFaultPlan] = None
@@ -90,18 +91,3 @@ class ControlPlaneConfig:
             )
         if len(self.safe_action) != 2:
             raise ValueError("safe_action must be a (base_freq, scaling_coef) pair")
-
-    def payload(self) -> tuple:
-        """Plain-data value for content-addressed cache keys."""
-        return (
-            self.capacity,
-            self.ack_timeout,
-            self.max_retries,
-            self.stale_tolerance,
-            self.deadline_misses,
-            self.recovery_windows,
-            self.degraded_mode,
-            tuple(self.safe_action),
-            self.fallback,
-            None if self.fault_plan is None else self.fault_plan.payload(),
-        )

@@ -4,10 +4,12 @@ The :class:`NodeEndpoint` is what a daemon running *on the node* would
 be: it owns the sensor side (telemetry snapshots + RAPL window energy,
 published as age-stamped :class:`~repro.control.messages.SensorReading`
 once per DRL interval) and the actuator side (the millisecond
-:class:`~repro.core.thread_controller.ThreadController` plus application
-of incoming :class:`~repro.control.messages.ActuatorCommand`), while the
-policy side of :class:`~repro.core.runtime.DeepPowerRuntime` talks to it
-only through the bus.
+:class:`~repro.core.thread_controller.ThreadController`, the SLA-safe
+fallback governor, and application of incoming
+:class:`~repro.control.messages.ActuatorCommand`), while the policy side
+of :class:`~repro.core.runtime.DeepPowerRuntime` talks to it only through
+the bus.  It is the only code that starts or stops the controller, sets
+its parameters, or runs a fallback governor.
 
 Hardening, node side:
 
@@ -15,23 +17,24 @@ Hardening, node side:
   their ``seq`` exceeds the node's high-water mark; duplicates and
   reordered stragglers are counted, suppressed, and still acknowledged
   (re-acking a duplicate is what lets a retry recover a lost ack).
+* **safe commands** — a ``safe=True`` command (a runtime watchdog trip)
+  hands the cores to the fallback governor, leaving the controller's
+  parameters untouched; the next ordinary command hands them back.
 * **control-deadline watchdog** — when no valid command has landed for
   ``deadline_misses`` DRL intervals the node stops trusting the (possibly
-  frozen) controller parameters and engages the existing safe-fallback
-  governor from :mod:`repro.faults.watchdog`; the next applied command
-  hands the cores back.  Disabled in the no-degraded-mode ablation.
+  frozen) controller parameters and engages the same fallback governor;
+  the next ordinary command hands the cores back.  Disabled in the
+  no-degraded-mode ablation.
 
-Both mechanisms are quiet in fault-free runs — no events, no state
-changes — preserving bitwise identity with the direct-call runtime.
+All three are quiet in fault-free, trip-free runs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cpu.governors import Governor
+from ..cpu.governors import Governor, OndemandGovernor, PerformanceGovernor
 from ..cpu.rapl import PowerMonitor
-from ..faults.watchdog import WatchdogConfig, make_fallback_governor
 from ..server.server import Server
 from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
@@ -87,27 +90,30 @@ class NodeEndpoint:
     # ----------------------------------------------------------------- control
 
     def start(self) -> None:
-        """Publish the initial (empty-window) reading and begin sampling.
+        """Start the controller, publish the initial (empty-window)
+        reading and begin sampling.
 
         A freshly constructed endpoint starts its deadline timer at
-        ``now``; a restored one keeps the snapshot's command age (and
-        re-engages the safe governor if it was engaged), so a controller
-        resuming into a still-broken bus stays protected.
+        ``now``; a restored one keeps the snapshot's command age.  An
+        endpoint that held the cores on the fallback governor resumes on
+        it, so a controller resuming into a still-broken bus (or a
+        still-tripped watchdog) stays protected.
         """
         if self._restored:
             self._restored = False
-            if self.safe_engaged:
-                self.safe_engaged = False  # _engage_safe re-sets it
-                self.stats["safe_engagements"] -= 1  # not a new engagement
-                self._engage_safe()
         else:
             self._last_cmd_time = self.engine.now
+        if self.safe_engaged:
+            self._engage_safe()
+        else:
+            self.controller.start()
         self.publish_reading()
         self._task = self.engine.every(
             self.long_time, self._sample, priority=PRIORITY_CONTROL + 1
         )
 
     def stop(self) -> None:
+        self.controller.stop()
         if self._task is not None:
             self._task.stop()
         if self._governor is not None:
@@ -154,9 +160,12 @@ class NodeEndpoint:
             self.stats["suppressed_commands"] += 1
             self._publish_ack(cmd.seq, applied=False)
             return
-        if self.safe_engaged:
-            self._disengage_safe()
-        self.controller.set_params(cmd.base_freq, cmd.scaling_coef)
+        if cmd.safe:
+            self._engage_safe()
+        else:
+            if self.safe_engaged:
+                self._disengage_safe()
+            self.controller.set_params(cmd.base_freq, cmd.scaling_coef)
         self._applied_seq = cmd.seq
         self._last_cmd_time = now
         self.stats["applied"] += 1
@@ -195,21 +204,27 @@ class NodeEndpoint:
             self._engage_safe()
 
     def _engage_safe(self) -> None:
-        """Deadline missed: bench the (stale-parameter) controller and
-        hand the cores to the SLA-safe fallback governor."""
-        self.safe_engaged = True
-        self.stats["safe_engagements"] += 1
+        """Deadline missed, safe command received, or resumed while
+        engaged: bench the controller (its parameters untouched) and hand
+        the cores to the SLA-safe fallback governor."""
+        if not self.safe_engaged:
+            self.safe_engaged = True
+            self.stats["safe_engagements"] += 1
         self.controller.stop()
         if self._governor is None:
-            self._governor = make_fallback_governor(
-                WatchdogConfig(fallback=self.cfg.fallback),
-                self.engine,
-                self.server.cpu,
+            cpu = self.server.cpu
+            self._governor = (
+                PerformanceGovernor(self.engine, cpu)
+                if self.cfg.fallback == "performance"
+                else OndemandGovernor(self.engine, cpu, up_threshold=0.35, sampling_rate=0.05)
             )
-        self._governor.start()
+        if self._governor._task is None:
+            # A static governor has no sampling task of its own: each call
+            # re-asserts it, so silently failed DVFS writes cannot stick.
+            self._governor.start()
 
     def _disengage_safe(self) -> None:
-        """A valid command arrived: governor off, controller back on."""
+        """An ordinary command arrived: governor off, controller back on."""
         if self._governor is not None:
             self._governor.stop()
         self.controller.start()

@@ -7,8 +7,9 @@ daemon split of ROADMAP's "live control plane" item):
   telemetry snapshot plus the RAPL window energy, age-stamped with the
   send time so the controller can detect stale telemetry.
 * :class:`ActuatorCommand` — controller → node: the
-  ``(BaseFreq, ScalingCoef)`` actuation, retried idempotently under the
-  same ``seq`` until acknowledged.
+  ``(BaseFreq, ScalingCoef)`` actuation, or (``safe=True``) an order to
+  hand the cores to the node's fallback governor; retried idempotently
+  under the same ``seq`` until acknowledged.
 * :class:`CommandAck` — node → controller: confirmation that a command
   was received (``applied`` distinguishes a fresh application from a
   suppressed duplicate/stale delivery).
@@ -64,6 +65,9 @@ class ActuatorCommand:
     #: attempts of a command share its ``seq``, which is what makes the
     #: retry idempotent at the node.
     attempt: int = 0
+    #: True = hand the cores to the node's fallback governor; the
+    #: controller's parameters are left untouched.
+    safe: bool = False
     schema: int = CONTROL_SCHEMA
 
 

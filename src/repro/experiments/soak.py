@@ -10,10 +10,8 @@ lossy bus but never defends itself — it trusts whatever reading it last
 saw and lets the thread controller free-run on frozen parameters through
 partitions.
 
-Intensity 0 doubles as the refactor's regression gate: the bus run is
-compared against a direct-call run of the identical stack, and
-``identity_ok`` reports whether metrics (and, with ``trace_dir`` set,
-trace bytes) matched exactly.
+Intensity 0 is the fault-free control cell: a perfect transport, so its
+row shows what the loop costs when the bus never misbehaves.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ __all__ = [
     "render_soak",
 ]
 
-#: Default fault-intensity grid (0 = the bitwise-identity control cell).
+#: Default fault-intensity grid (0 = the fault-free control cell).
 SOAK_INTENSITIES = (0.0, 0.5, 1.0)
 
 #: Top-layer policies the soak can drive over the bus.
@@ -74,7 +72,7 @@ class ReactivePolicy:
     trough/peak contrast is guaranteed keeps the comparison about message
     loss, not learner quality.  It is stateless and exposes the interface
     the runtime expects of an agent (``act``/``observe``/``update``/
-    ``state_dict``), so it drops into checkpoints and bus-mode runs alike.
+    ``state_dict``), so it drops into checkpoints and soak runs alike.
     """
 
     def __init__(
@@ -147,22 +145,14 @@ def soak_trace(duration: float) -> WorkloadTrace:
 
 
 def _extras(ctx, driver):
-    out = {}
-    if isinstance(driver, DeepPowerRuntime):
-        out["runtime"] = driver
-        out["control"] = driver.control_stats()
-        out["degraded_steps"] = sum(1 for r in driver.records if r.degraded)
-    return out
+    return {
+        "control": driver.control_stats(),
+        "degraded_steps": sum(1 for r in driver.records if r.degraded),
+    }
 
 
-def _control_summary(stats: Optional[dict], degraded_steps: int) -> dict:
+def _control_summary(stats: dict, degraded_steps: int) -> dict:
     """Flatten ``DeepPowerRuntime.control_stats()`` into row counters."""
-    if stats is None:
-        return {
-            "drops": 0, "sheds": 0, "retries": 0, "stale_windows": 0,
-            "degraded_steps": 0, "escalations": 0, "node_engagements": 0,
-            "commands_lost": 0,
-        }
     bus = stats["bus"]
     drops = sum(
         ch["dropped_fault"] + ch["dropped_partition"] for ch in bus.values()
@@ -188,11 +178,12 @@ def run_soak(
     trace_dir: Optional[str] = None,
     policy: str = "reactive",
 ) -> dict:
-    """Sweep bus-fault intensity: direct vs degraded-mode vs ablation.
+    """Sweep bus-fault intensity: degraded-mode vs ablation.
 
     Cells per intensity: ``degraded`` (full hardening) and ``ablation``
-    (same lossy bus, ``degraded_mode=False``); intensity 0 runs a single
-    bus cell plus a ``direct`` reference cell and checks bitwise identity.
+    (same lossy bus, ``degraded_mode=False``); intensity 0 is a perfect
+    transport, where the two coincide, so it runs a single ``degraded``
+    cell.
     ``policy`` picks the top layer: ``reactive`` (default, deterministic
     load-following — see :class:`ReactivePolicy`) or ``trained`` (the
     cached DDPG agent).  Returns a plain-data dict (cache/checkpoint
@@ -225,16 +216,13 @@ def run_soak(
         os.makedirs(trace_dir, exist_ok=True)
 
     def run_cell(mode: str, intensity: float):
-        if mode == "direct":
-            control = None
-        else:
-            plan = standard_bus_plan(
-                intensity, trace.duration, seed=seed, long_time=dp_cfg.long_time
-            )
-            control = ControlPlaneConfig(
-                fault_plan=None if plan.is_empty else plan,
-                degraded_mode=(mode != "ablation"),
-            )
+        plan = standard_bus_plan(
+            intensity, trace.duration, seed=seed, long_time=dp_cfg.long_time
+        )
+        control = ControlPlaneConfig(
+            fault_plan=None if plan.is_empty else plan,
+            degraded_mode=(mode != "ablation"),
+        )
         cfg = replace(dp_cfg, control=control)
         obs = None
         trace_path = None
@@ -258,7 +246,6 @@ def run_soak(
         return result, trace_path
 
     rows: List[dict] = []
-    identity_ok = None
 
     def add_row(mode: str, intensity: float):
         result, trace_path = run_cell(mode, intensity)
@@ -267,24 +254,14 @@ def run_soak(
             "intensity": intensity,
             "metrics": result.metrics.as_dict(),
             "control": _control_summary(
-                result.extras.get("control"),
-                result.extras.get("degraded_steps", 0),
+                result.extras["control"], result.extras["degraded_steps"]
             ),
             "trace_path": trace_path,
         })
-        return rows[-1]
 
-    direct = add_row("direct", 0.0)
     for intensity in sorted(set(float(i) for i in intensities)):
-        if intensity == 0.0:
-            bus_row = add_row("degraded", 0.0)
-            identity_ok = bus_row["metrics"] == direct["metrics"]
-            if identity_ok and trace_dir is not None:
-                with open(direct["trace_path"], "rb") as fa, \
-                        open(bus_row["trace_path"], "rb") as fb:
-                    identity_ok = fa.read() == fb.read()
-        else:
-            add_row("degraded", intensity)
+        add_row("degraded", intensity)
+        if intensity != 0.0:
             add_row("ablation", intensity)
 
     return {
@@ -293,7 +270,6 @@ def run_soak(
         "seed": seed,
         "sla": app.sla,
         "policy": policy,
-        "identity_ok": identity_ok,
         "rows": rows,
     }
 
@@ -317,13 +293,9 @@ def render_soak(result: dict) -> str:
             c["escalations"] + c["node_engagements"],
             "yes" if p99_ratio <= 1.0 else "NO",
         ])
-    out = format_table(
+    return format_table(
         ["mode", "intensity", "power (W)", "p99/SLA", "timeout",
          "drops", "retries", "stale", "safe", "SLA met"],
         table,
         "{:.2f}",
     )
-    if result.get("identity_ok") is not None:
-        verdict = "bitwise identical" if result["identity_ok"] else "MISMATCH"
-        out += f"\nfault-free bus vs direct calls: {verdict}\n"
-    return out

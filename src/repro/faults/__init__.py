@@ -9,8 +9,10 @@ Three layers:
   :class:`ActuatorFaults`, :class:`AgentFaults` and the bundling
   :class:`FaultHarness`, which interpret a plan against a live stack.
 * :mod:`repro.faults.watchdog` — :class:`Watchdog`, the runtime's
-  anomaly screen and trip/re-arm state machine, degrading to an SLA-safe
-  governor while telemetry is broken.
+  anomaly screen and trip/re-arm state machine.  While it is tripped the
+  runtime publishes safe commands over the control bus and the node
+  endpoint (:mod:`repro.control.endpoint`) runs its SLA-safe fallback
+  governor.
 
 Two sibling plan layers compose over the same contract: fleet-level
 chaos (:mod:`repro.faults.fleet`) and control-bus loss/delay/partition
@@ -33,7 +35,7 @@ from .fleet import (
 )
 from .injectors import ActuatorFaults, AgentFaults, FaultHarness, SensorFaults
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan, standard_fault_plan
-from .watchdog import Watchdog, WatchdogConfig, make_fallback_governor
+from .watchdog import Watchdog, WatchdogConfig
 
 __all__ = [
     "FAULT_KINDS",
@@ -56,5 +58,4 @@ __all__ = [
     "FaultHarness",
     "Watchdog",
     "WatchdogConfig",
-    "make_fallback_governor",
 ]

@@ -8,32 +8,32 @@ substitutes a safe value for anything broken, and drives a trip/re-arm
 state machine:
 
 * **Trip** — when ``trip_threshold`` of the last ``window_steps`` steps
-  were anomalous, the runtime abandons the DRL policy and falls back to a
-  classic SLA-safe governor (:mod:`repro.cpu.governors`).
+  were anomalous, the runtime abandons the DRL policy and the node falls
+  back to a classic SLA-safe governor (:mod:`repro.cpu.governors`).
 * **Re-arm** — after ``cooldown_steps`` consecutive healthy steps the DRL
   loop resumes.  A relapse (re-trip soon after recovery) doubles the
   cooldown (exponential backoff, capped), so a flapping sensor cannot make
   the system oscillate between controllers at the trip frequency.
 
 The watchdog is pure decision logic — it owns no engine tasks and touches
-no hardware.  The runtime applies its verdicts (stop/start the thread
-controller, run the fallback governor) so that all actuation stays in one
-place.  With healthy inputs every screen is an identity function and no
-RNG is consumed: enabling the watchdog on a faultless run changes nothing.
+no hardware.  The runtime publishes its verdicts as control-bus commands
+and the node endpoint (:class:`repro.control.NodeEndpoint`) applies them,
+so all actuation stays in one place.  With healthy inputs
+every screen is an identity function and no RNG is consumed: enabling the
+watchdog on a faultless run changes nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..cpu.governors import Governor, OndemandGovernor, PerformanceGovernor
 from ..server.telemetry import TelemetrySnapshot
 
-__all__ = ["WatchdogConfig", "Watchdog", "make_fallback_governor"]
+__all__ = ["WatchdogConfig", "Watchdog"]
 
 
 @dataclass
@@ -52,19 +52,10 @@ class WatchdogConfig:
     max_cooldown_steps: int = 48
     #: A re-trip within this many steps of a recovery counts as a relapse.
     relapse_window: int = 8
-    #: Fallback governor: "performance" (static, max/turbo — maximally
-    #: SLA-safe) or "ondemand" (SLA-safe parameters, re-samples so it also
-    #: rides out DVFS write failures).
-    fallback: str = "performance"
-    #: Extra kwargs for the fallback governor's constructor.
-    fallback_kwargs: Dict = field(default_factory=dict)
     #: Window power above ``margin * max_socket_power`` is a sensor spike.
     max_power_margin: float = 2.0
     #: Controller ticks below this fraction of expected flags missed ticks.
     min_tick_fraction: float = 0.5
-    #: (BaseFreq, ScalingCoef) recorded/applied when the DRL action is
-    #: unusable; (1, 1) drives every score >= 1, i.e. turbo — SLA-safe.
-    safe_action: Tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.trip_threshold <= 0 or self.window_steps < self.trip_threshold:
@@ -73,17 +64,6 @@ class WatchdogConfig:
             raise ValueError("cooldown_steps must be positive")
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if self.fallback not in ("performance", "ondemand"):
-            raise ValueError("fallback must be 'performance' or 'ondemand'")
-
-
-def make_fallback_governor(cfg: WatchdogConfig, engine, cpu) -> Governor:
-    """Build the configured SLA-safe fallback governor."""
-    if cfg.fallback == "performance":
-        return PerformanceGovernor(engine, cpu, **cfg.fallback_kwargs)
-    kwargs = dict(up_threshold=0.35, sampling_rate=0.05)
-    kwargs.update(cfg.fallback_kwargs)
-    return OndemandGovernor(engine, cpu, **kwargs)
 
 
 class Watchdog:
@@ -93,6 +73,10 @@ class Watchdog:
     ----------
     cfg:
         Detection/degradation knobs.
+    safe_action:
+        ``(BaseFreq, ScalingCoef)`` substituted for a non-finite action
+        (``ControlPlaneConfig.safe_action``; (1, 1) drives every score
+        >= 1, i.e. turbo — SLA-safe).
     max_power_watts, min_power_watts:
         The socket's physical power envelope (same numbers the reward
         calculator normalises with); bounds plausible window energy.
@@ -105,12 +89,14 @@ class Watchdog:
         self,
         cfg: Optional[WatchdogConfig] = None,
         *,
+        safe_action: Tuple[float, float],
         max_power_watts: float,
         min_power_watts: float,
         long_time: float,
         short_time: float,
     ) -> None:
         self.cfg = cfg or WatchdogConfig()
+        self.safe_action = tuple(safe_action)
         self.long_time = long_time
         self.expected_ticks = long_time / short_time if short_time > 0 else 0.0
         self.max_plausible_watts = self.cfg.max_power_margin * max_power_watts
@@ -222,7 +208,7 @@ class Watchdog:
         """Clamp an out-of-box action; replace a non-finite one outright."""
         if not np.isfinite(action).all():
             self._note("action_nonfinite")
-            return np.asarray(self.cfg.safe_action, dtype=float)
+            return np.asarray(self.safe_action, dtype=float)
         if (action < 0.0).any() or (action > 1.0).any():
             self._note("action_out_of_bounds")
             return np.clip(action, 0.0, 1.0)

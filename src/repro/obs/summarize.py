@@ -78,7 +78,7 @@ class TraceSummary:
     episodes: List[Dict[str, Any]] = field(default_factory=list)
     #: ``run-warning`` events (degenerate runs surface here).
     warnings: List[Dict[str, Any]] = field(default_factory=list)
-    #: Control-plane (bus) aggregation — empty for direct-call runs.
+    #: Control-plane (bus) aggregation — empty for fault-free runs.
     #: Keys: ``drops`` (per channel), ``drop_reasons`` (fault / partition /
     #: shed), ``retries``, ``stale_windows``, ``max_consecutive_stale``,
     #: ``deadline_misses`` (per side), ``degraded_intervals``.
@@ -93,7 +93,7 @@ def summarize_trace(
     ``drl-step`` events provide reward/state/action/queue/power;
     ``controller-window`` events (matched by episode + step, within the
     last ``join_window`` steps) contribute tick counts, window frequency
-    stats and DVFS switch counts.  Bus-mode runs additionally feed the
+    stats and DVFS switch counts.  Lossy-bus runs additionally feed the
     ``control`` aggregation from ``bus-drop``, ``stale-window``,
     ``cmd-retry`` and ``deadline-miss`` events (degraded ``drl-step``
     events carry ``state: null`` and NaN telemetry; they appear in the

@@ -177,6 +177,16 @@ class TestValidation:
             main(["fleet", "--chaos", "heavy"])
         assert "expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "x"])
+    def test_soak_intensities_reject_bad_items(self, capsys, bad):
+        # Every comma-separated item is a finite number >= 0; a bad one is
+        # a usage error (exit 2), never a traceback or a soak run.
+        try:
+            code = main(["soak", f"--intensities=0,{bad}"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+
 
 class TestFleetCommand:
     def test_fleet_run_and_group_by_node_round_trip(self, capsys, tmp_path):

@@ -1,13 +1,14 @@
-"""Control-plane tests: bus transport, fault plans, degraded mode, identity.
+"""Control-plane tests: bus transport, fault plans, degraded mode, watchdog.
 
-The headline guarantee of the message-bus refactor: a fault-free run
-through the bus is **bitwise identical** to the direct-call runtime —
-same step records, same trace bytes, same QoS counters.  Plus unit
-coverage for the :class:`BusFaultPlan` layer, the channel semantics
-(bounded queues, shedding, duplicates, partitions, replayable fault
-streams) and the degraded-mode machinery on both ends of the bus
-(stale-telemetry hold, safe-mode escalation/recovery, ack-timeout
-retries, node-side deadline fallback).
+The bus is the runtime's only wiring between the DRL loop and the node:
+a fault-free run consumes no randomness and replays bitwise, and a
+watchdog trip travels as a safe command to the node endpoint, which owns
+the only fallback governor.  Plus unit coverage for the
+:class:`BusFaultPlan` layer, the channel semantics (bounded queues,
+shedding, duplicates, partitions, replayable fault streams) and the
+degraded-mode machinery on both ends of the bus (stale-telemetry hold,
+safe-mode escalation/recovery, ack-timeout retries, node-side deadline
+fallback).
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 from repro.control import (
     ActuatorCommand,
     BusFaultInjector,
-    CONTROL_SCHEMA,
     ControlPlaneConfig,
     InProcessBus,
     SensorReading,
@@ -29,15 +29,16 @@ from repro.core import (
 )
 from repro.experiments.runner import build_context
 from repro.faults import (
-    BUS_DIRECTIONS,
     BusEvent,
     BusFaultPlan,
+    FaultHarness,
     LinkFaults,
     standard_bus_plan,
+    standard_fault_plan,
 )
 from repro.faults.watchdog import WatchdogConfig
 from repro.obs import Observability, TraceWriter, read_trace
-from repro.sim import Engine, RngRegistry
+from repro.sim import RngRegistry
 from repro.workload import constant_trace
 
 from .test_checkpoint_manager import assert_tree_equal
@@ -180,7 +181,7 @@ class TestChannel:
         seen = []
         bus.command.subscribe(lambda m: seen.append(m.seq))
         bus.command.publish(ActuatorCommand(seq=1, t_sent=0.0, base_freq=1.0, scaling_coef=1.0))
-        assert seen == [1]  # fast path: lands where a direct call would
+        assert seen == [1]  # fast path: lands in-line at the send instant
 
     def test_subscribed_delayed_copy_via_engine(self, engine):
         plan = BusFaultPlan(command=LinkFaults(delay_prob=1.0, delay=0.5), seed=0)
@@ -230,21 +231,19 @@ class TestChannel:
 
 
 # --------------------------------------------------------------------------
-# bitwise identity (the refactor's acceptance criterion)
+# fault-free determinism
 # --------------------------------------------------------------------------
 
 
 def _bus_run(tiny_app, duration, control, *, trace_path=None, seed=4,
-             watchdog=None, long_time=0.5, train=True):
+             long_time=0.5, train=True):
     wl = constant_trace(tiny_app.rps_for_load(0.4, 2), duration)
     obs = Observability(trace=TraceWriter(trace_path)) if trace_path else None
     ctx = build_context(tiny_app, wl, 2, seed=seed, obs=obs)
     agent = DeepPowerAgent(
         RngRegistry(1).get("a"), default_ddpg_config(warmup=2, batch_size=4)
     )
-    cfg = DeepPowerConfig(
-        long_time=long_time, control=control, watchdog=watchdog, train=train
-    )
+    cfg = DeepPowerConfig(long_time=long_time, control=control, train=train)
     rt = DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, cfg, obs=obs)
     rt.start()
     ctx.source.start()
@@ -264,28 +263,6 @@ def _qos(ctx):
 
 
 class TestBitwiseIdentity:
-    def test_fault_free_bus_matches_direct_calls(self, tiny_app, tmp_path):
-        direct_trace = str(tmp_path / "direct.trace.jsonl")
-        bus_trace = str(tmp_path / "bus.trace.jsonl")
-        rt_d, ctx_d = _bus_run(tiny_app, 4.0, None, trace_path=direct_trace)
-        rt_b, ctx_b = _bus_run(
-            tiny_app, 4.0, ControlPlaneConfig(), trace_path=bus_trace
-        )
-        assert rt_b.step_count == rt_d.step_count > 0
-        for a, b in zip(rt_d.records, rt_b.records):
-            np.testing.assert_array_equal(a.state, b.state)
-            np.testing.assert_array_equal(a.action, b.action)
-            assert a.reward.total == b.reward.total
-            assert a.power_watts == b.power_watts
-            assert (a.rps, a.queue_len, a.timeouts) == (b.rps, b.queue_len, b.timeouts)
-            assert not b.degraded
-        assert _qos(ctx_d) == _qos(ctx_b)
-        with open(direct_trace, "rb") as f:
-            direct_bytes = f.read()
-        with open(bus_trace, "rb") as f:
-            bus_bytes = f.read()
-        assert direct_bytes == bus_bytes
-
     def test_fault_free_bus_consumes_no_rng(self, tiny_app):
         rt, _ = _bus_run(tiny_app, 2.0, ControlPlaneConfig())
         assert rt.bus.injector is None
@@ -294,15 +271,6 @@ class TestBitwiseIdentity:
         assert stats["loop"]["retries"] == 0
         assert stats["node"]["safe_engagements"] == 0
         assert stats["bus"]["sensor"]["published"] == stats["bus"]["sensor"]["delivered"]
-
-    def test_identity_holds_with_watchdog_attached(self, tiny_app):
-        wd = WatchdogConfig()
-        rt_d, ctx_d = _bus_run(tiny_app, 3.0, None, watchdog=wd)
-        rt_b, ctx_b = _bus_run(tiny_app, 3.0, ControlPlaneConfig(), watchdog=wd)
-        for a, b in zip(rt_d.records, rt_b.records):
-            np.testing.assert_array_equal(a.action, b.action)
-            assert a.power_watts == b.power_watts
-        assert _qos(ctx_d) == _qos(ctx_b)
 
     def test_seeded_faulty_run_is_bitwise_replayable(self, tiny_app, tmp_path):
         plan = standard_bus_plan(0.8, duration=4.0, seed=13, long_time=0.5)
@@ -317,6 +285,72 @@ class TestBitwiseIdentity:
         assert _qos(ctx0) == _qos(ctx1)
         with open(paths[0], "rb") as f0, open(paths[1], "rb") as f1:
             assert f0.read() == f1.read()
+
+
+# --------------------------------------------------------------------------
+# watchdog trips travel over the bus
+# --------------------------------------------------------------------------
+
+
+class TestWatchdogTrip:
+    def test_trip_keeps_agent_params_and_node_governor_until_rearm(
+        self, tiny_app, tmp_path
+    ):
+        # The fault-tolerance acceptance scenario: the watchdog trips at
+        # t=4.0 and re-arms at t=5.5.
+        path = str(tmp_path / "trip.trace.jsonl")
+        plan = standard_fault_plan(
+            0.05, 12.0, long_time=0.5, seed=3, agent_faults=True
+        )
+        wl = constant_trace(tiny_app.rps_for_load(0.4, 2), 12.0)
+        obs = Observability(trace=TraceWriter(path))
+        ctx = build_context(tiny_app, wl, 2, seed=4, obs=obs)
+        agent = DeepPowerAgent(
+            RngRegistry(1).get("a"), default_ddpg_config(warmup=2, batch_size=4)
+        )
+        cfg = DeepPowerConfig(long_time=0.5, watchdog=WatchdogConfig())
+        rt = DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, cfg, obs=obs)
+        FaultHarness(
+            plan, ctx.engine, cpu=ctx.cpu, monitor=ctx.monitor,
+            telemetry=ctx.server.telemetry, agent=agent,
+        ).arm()
+        rt.start()
+        ctx.source.start()
+        ctx.engine.run_until(5.0)
+        assert rt.watchdog.tripped
+        # the endpoint holds the cores on its governor, controller benched
+        assert rt._endpoint.safe_engaged
+        assert rt.controller._task.stopped
+        ctx.engine.run_until(6.0)
+        assert not rt.watchdog.tripped
+        # re-arm: an ordinary command handed the cores back
+        assert not rt._endpoint.safe_engaged
+        assert not rt.controller._task.stopped
+        rt.stop()
+        obs.close()
+
+        events = list(read_trace(path))
+        trip = next(e for e in events if e["kind"] == "watchdog-trip")
+        rearm = next(e for e in events if e["kind"] == "watchdog-rearm")
+        last_action = next(
+            e["action"] for e in events
+            if e["kind"] == "drl-step" and e["step"] == trip["step"]
+        )
+        windows = [
+            e for e in events
+            if e["kind"] == "controller-window"
+            and trip["step"] <= e["step"] < rearm["step"]
+        ]
+        assert len(windows) == rearm["step"] - trip["step"]
+        # the safe command leaves the controller's parameters untouched:
+        # every window of the trip reports the agent's last action
+        for w in windows:
+            assert [w["base_freq"], w["scaling_coef"]] == last_action
+        after = next(
+            e for e in events
+            if e["kind"] == "controller-window" and e["step"] == rearm["step"]
+        )
+        assert (after["base_freq"], after["scaling_coef"]) == cfg.control.safe_action
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +457,10 @@ class TestDegradedMode:
             ControlPlaneConfig(max_retries=-1)
         with pytest.raises(ValueError):
             ControlPlaneConfig(deadline_misses=0)
+        with pytest.raises(ValueError):
+            ControlPlaneConfig(fallback="turbo-button")
+        with pytest.raises(TypeError):
+            DeepPowerConfig(control=None)  # the bus is the only wiring
 
 
 # --------------------------------------------------------------------------
@@ -457,19 +495,20 @@ class TestControlStatePersistence:
         rt2.load_state_dict(snap)
         assert_tree_equal(rt2.state_dict(), snap)
 
-    def test_direct_snapshot_loads_into_direct_runtime(self, tiny_app):
-        rt1, _ = _bus_run(tiny_app, 1.0, None)
-        snap = rt1.state_dict()
-        assert snap["control"] is None
-        rt2 = _fresh_runtime(tiny_app, None)
-        rt2.load_state_dict(snap)
-        assert_tree_equal(rt2.state_dict(), snap)
-
-    def test_bus_snapshot_rejected_by_direct_runtime(self, tiny_app):
+    def test_parent_format_snapshot_loads(self, tiny_app):
+        # Snapshots from before the bus was the only wiring carry
+        # ``control: None``: everything else restores, the loop starts fresh.
         rt1, _ = _bus_run(tiny_app, 1.0, ControlPlaneConfig())
-        rt2 = _fresh_runtime(tiny_app, None)
-        with pytest.raises(ValueError, match="control"):
-            rt2.load_state_dict(rt1.state_dict())
+        snap = rt1.state_dict()
+        snap["control"] = None
+        rt2 = _fresh_runtime(tiny_app, ControlPlaneConfig())
+        fresh_control = rt2.state_dict()["control"]
+        rt2.load_state_dict(snap)
+        restored = rt2.state_dict()
+        assert restored["step_count"] == snap["step_count"]
+        assert_tree_equal(restored["agent"], snap["agent"])
+        assert_tree_equal(restored["controller"], snap["controller"])
+        assert_tree_equal(restored["control"], fresh_control)
 
 
 # --------------------------------------------------------------------------

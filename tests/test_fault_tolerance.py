@@ -351,7 +351,7 @@ class TestWatchdog:
             **over,
         )
         return Watchdog(
-            cfg, max_power_watts=100.0, min_power_watts=10.0,
+            cfg, safe_action=(1.0, 1.0), max_power_watts=100.0, min_power_watts=10.0,
             long_time=1.0, short_time=0.01,
         )
 
@@ -366,8 +366,6 @@ class TestWatchdog:
             WatchdogConfig(trip_threshold=0)
         with pytest.raises(ValueError):
             WatchdogConfig(trip_threshold=5, window_steps=3)
-        with pytest.raises(ValueError):
-            WatchdogConfig(fallback="turbo-button")
 
     def test_trips_after_threshold_anomalous_steps(self):
         wd = self._wd()
@@ -477,7 +475,7 @@ class TestWatchdog:
         assert np.all(s == 0.0)
         # Non-finite action snaps to the safe action; out-of-box is clipped.
         a = wd.screen_action(np.array([np.inf, 0.5]))
-        assert tuple(a) == wd.cfg.safe_action
+        assert tuple(a) == wd.safe_action
         a = wd.screen_action(np.array([1.7, -0.2]))
         assert tuple(a) == (1.0, 0.0)
         assert wd.step_anomalies == 4
@@ -570,6 +568,33 @@ class TestFaultToleranceAcceptance:
             assert np.isfinite(r.power_watts)
             assert np.isfinite(r.avg_frequency)
         assert np.isfinite(rt.agent.actor.get_flat()).all()
+
+    def test_resume_while_tripped_keeps_node_on_fallback(self, tiny_app):
+        plan = standard_fault_plan(
+            0.05, 12.0, long_time=0.5, seed=3, agent_faults=True
+        )
+        rt, _ = self._run(tiny_app, plan, duration=4.25)  # trips at t=4.0
+        assert rt.watchdog.tripped
+        snap = rt.state_dict()
+
+        trace = constant_trace(tiny_app.rps_for_load(0.4, 2), 2.0)
+        ctx = build_context(tiny_app, trace, 2, seed=4)
+        cfg = DeepPowerConfig(long_time=0.5, watchdog=WatchdogConfig())
+        resumed = DeepPowerRuntime(
+            ctx.engine, ctx.server, ctx.monitor, _agent(warmup=2, batch_size=4), cfg
+        )
+        resumed.load_state_dict(snap)
+        resumed.start()
+        ctx.source.start()
+        ctx.engine.run_until(1.0)  # healthy, but short of the re-arm cooldown
+        assert resumed.watchdog.tripped
+        # the fallback governor holds the cores; the controller never ticked
+        assert resumed._endpoint.safe_engaged
+        task = resumed.controller._task
+        assert task is None or task.stopped
+        assert resumed.controller.tick_count == snap["controller"]["tick_count"]
+        assert resumed.records and all(r.fallback for r in resumed.records)
+        resumed.stop()
 
     def test_empty_plan_is_bitwise_noop(self, tiny_app):
         """Fault subsystem armed with an empty plan + watchdog enabled on a

@@ -157,7 +157,7 @@ class MlpServicePredictor(ServicePredictor):
         ys = ((y - self._y_mean) / self._y_std).reshape(-1, 1)
 
         self.net = MLP([x.shape[1], *self.hidden, 1], self.rng)
-        opt = Adam(self.net.parameters(), lr=self.lr)
+        opt = Adam(self.net, lr=self.lr)
         n = len(xs)
         for _ in range(self.epochs):
             order = self.rng.permutation(n)

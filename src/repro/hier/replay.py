@@ -137,16 +137,11 @@ def federated_average(agents: Sequence) -> int:
     names = [n for n in _FED_MODULES if getattr(agents[0], n, None) is not None]
     averaged = 0
     for name in names:
-        flats = []
-        for agent in agents:
-            module = getattr(agent, name, None)
-            if module is None:
-                raise ValueError(
-                    f"cannot federate: some agents lack module {name!r}"
-                )
-            flats.append(module.get_flat())
-        mean = np.mean(np.stack(flats, axis=0), axis=0)
-        for agent in agents:
-            getattr(agent, name).set_flat(mean)
+        modules = [getattr(agent, name, None) for agent in agents]
+        if any(module is None for module in modules):
+            raise ValueError(f"cannot federate: some agents lack module {name!r}")
+        mean = np.mean(np.stack([module.flat_data for module in modules]), axis=0)
+        for module in modules:
+            module.set_flat(mean)
         averaged += 1
     return averaged

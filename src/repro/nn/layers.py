@@ -18,7 +18,11 @@ __all__ = ["Parameter", "Layer", "Linear", "ReLU", "Sigmoid", "Tanh", "Identity"
 
 
 class Parameter:
-    """A trainable array and its gradient accumulator."""
+    """A trainable array and its gradient accumulator.
+
+    Once a :class:`~repro.nn.network.Module` owns it, ``data`` and ``grad``
+    are views into the module's arenas: update them in place, never rebind.
+    """
 
     __slots__ = ("data", "grad", "name")
 
@@ -30,9 +34,6 @@ class Parameter:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name or 'unnamed'}, shape={self.data.shape})"
@@ -124,12 +125,10 @@ class Sigmoid(Layer):
         self._y: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Numerically stable piecewise formulation.
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        # Numerically stable piecewise form: e = exp(-|x|) never overflows.
+        # min(x, -x) equals -|x| but, unlike -abs(x), keeps a NaN's sign.
+        e = np.exp(np.minimum(x, -x))
+        out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         self._y = out
         return out
 

@@ -8,7 +8,7 @@ fully-connected layers", sigmoid outputs) as :class:`TwoHeadMLP`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Type
+from typing import Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -24,8 +24,37 @@ ACTIVATIONS: Dict[str, Type[Layer]] = {
 }
 
 
-class Module:
-    """Base container: parameter bookkeeping shared by all networks."""
+class _BuildsArena(type):
+    """Metaclass: every :class:`Module` gets its arena once ``__init__`` ends."""
+
+    def __call__(cls, *args, **kwargs):
+        module = super().__call__(*args, **kwargs)
+        module._build_arena()
+        return module
+
+
+class Module(metaclass=_BuildsArena):
+    """Base container: parameter bookkeeping shared by all networks.
+
+    Construction packs every parameter into one contiguous ``float64``
+    arena (:attr:`flat_data`) and every gradient into a second one
+    (:attr:`flat_grad`); each ``Parameter.data`` / ``.grad`` is then a
+    reshaped view into them.  A submodule held as an attribute (a two-head
+    actor's trunk and heads, a twin critic's ``q1``/``q2``) is re-pointed
+    at its slice of the parent's arenas, so ``parent.q1.zero_grad()``
+    clears exactly ``q1``'s part.  Optimizers, Polyak averaging and
+    zero-grad are then a few whole-vector numpy ops per network.
+
+    Invariant: never rebind ``Parameter.data`` or ``.grad``; write into
+    them in place (``p.data[...] = x``, ``p.grad += g``).
+    """
+
+    #: All parameters, concatenated in ``parameters()`` order.
+    flat_data: np.ndarray
+    #: All gradients, laid out like :attr:`flat_data`.
+    flat_grad: np.ndarray
+    #: ``(start, stop)`` of each parameter tensor within the arenas.
+    tensor_bounds: Tuple[Tuple[int, int], ...]
 
     def parameters(self) -> List[Parameter]:
         raise NotImplementedError
@@ -39,39 +68,88 @@ class Module:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
+    # ------------------------------------------------------------------ arena
+
+    def _build_arena(self) -> None:
+        """Copy every parameter and gradient into fresh arenas and rebind
+        the parameters (and submodules) to views of them."""
+        params = self.parameters()
+        n = sum(p.size for p in params)
+        data, grad = np.empty(n), np.empty(n)
+        offsets: Dict[int, int] = {}
+        bounds: List[Tuple[int, int]] = []
+        off = 0
+        for p in params:
+            k, shape = p.size, p.data.shape
+            data[off : off + k] = p.data.ravel()
+            grad[off : off + k] = p.grad.ravel()
+            p.data = data[off : off + k].reshape(shape)
+            p.grad = grad[off : off + k].reshape(shape)
+            offsets[id(p)] = off
+            bounds.append((off, off + k))
+            off += k
+        self.flat_data, self.flat_grad = data, grad
+        self.tensor_bounds = tuple(bounds)
+        self._rebase_children(data, grad, offsets)
+
+    def _rebase_children(
+        self, data: np.ndarray, grad: np.ndarray, offsets: Dict[int, int]
+    ) -> None:
+        """Point every submodule at its slice of the root's arenas."""
+        for child in vars(self).values():
+            if not isinstance(child, Module):
+                continue
+            ps = child.parameters()
+            start = offsets.get(id(ps[0]), -1) if ps else 0
+            off = start
+            for p in ps:
+                if offsets.get(id(p)) != off:
+                    raise ValueError(
+                        f"submodule {type(child).__name__} parameters are not a "
+                        f"contiguous run of {type(self).__name__}.parameters()"
+                    )
+                off += p.size
+            child.flat_data, child.flat_grad = data[start:off], grad[start:off]
+            child._rebase_children(data, grad, offsets)
+
+    def __setstate__(self, state: Dict) -> None:
+        # Pickle and deepcopy hand back parameters as standalone arrays (a
+        # view loses its base); re-pack them so they share an arena again.
+        self.__dict__.update(state)
+        self._build_arena()
+
+    def __copy__(self):
+        # A shallow copy would share the Parameter objects, and re-packing
+        # them would detach the original's arena from its parameters.
+        raise TypeError(
+            f"{type(self).__name__} cannot be shallow-copied; use copy.deepcopy"
+        )
+
     # ------------------------------------------------------------- parameters
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat_grad.fill(0.0)
 
     def num_parameters(self) -> int:
         """Total trainable scalar count (the paper reports 2096 for its actor)."""
-        return sum(p.size for p in self.parameters())
+        return self.flat_data.size
 
     def get_flat(self) -> np.ndarray:
-        """All parameters concatenated into one vector (for tests/serialization)."""
-        ps = self.parameters()
-        if not ps:
-            return np.zeros(0)
-        return np.concatenate([p.data.ravel() for p in ps])
+        """All parameters concatenated into one vector (a copy of the arena)."""
+        return self.flat_data.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         """Load parameters from a flat vector produced by :meth:`get_flat`."""
         vec = np.asarray(vec, dtype=np.float64)
-        off = 0
-        for p in self.parameters():
-            n = p.size
-            if off + n > vec.size:
-                raise ValueError("flat vector too short for this network")
-            p.data[...] = vec[off : off + n].reshape(p.data.shape)
-            off += n
-        if off != vec.size:
-            raise ValueError(f"flat vector has {vec.size - off} extra values")
+        if vec.size != self.flat_data.size:
+            raise ValueError(
+                f"flat vector has {vec.size} values, this network {self.flat_data.size}"
+            )
+        self.flat_data[...] = vec.ravel()
 
     def copy_from(self, other: "Module") -> None:
         """Hard copy of another network's parameters (target-net init)."""
-        self.set_flat(other.get_flat())
+        self.set_flat(other.flat_data)
 
     def soft_update_from(self, other: "Module", tau: float) -> None:
         """Polyak averaging: ``theta <- tau * theta_src + (1-tau) * theta``.
@@ -80,12 +158,11 @@ class Module:
         """
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        for p_t, p_s in zip(self.parameters(), other.parameters()):
-            p_t.data *= 1.0 - tau
-            p_t.data += tau * p_s.data
+        self.flat_data *= 1.0 - tau
+        self.flat_data += tau * other.flat_data
 
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Named parameter snapshot (savable with ``np.savez``)."""
+        """Named per-tensor parameter snapshot (savable with ``np.savez``)."""
         return {f"p{i}": p.data.copy() for i, p in enumerate(self.parameters())}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:

@@ -1,113 +1,138 @@
-"""First-order optimizers over :class:`~repro.nn.layers.Parameter` lists."""
+"""First-order optimizers over a :class:`~repro.nn.network.Module`'s arena.
+
+Every network keeps its parameters in one contiguous vector
+(``module.flat_data``) and its gradients in another (``module.flat_grad``),
+so each optimizer holds one slot array per moment and a step is a few
+whole-vector numpy ops.  Elementwise ops give the same doubles over the
+concatenation as per tensor, so results match a per-tensor loop bit for bit.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .layers import Parameter
+from .network import Module
 
 __all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
 
 
-def clip_grad_norm(params: List[Parameter], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is <= ``max_norm``.
+def clip_grad_norm(module: Module, max_norm: float) -> float:
+    """Scale ``module``'s gradients in place so their global L2 norm is
+    <= ``max_norm``.
 
-    Returns the pre-clip norm (useful for logging training stability).
+    Returns the pre-clip norm (useful for logging training stability).  The
+    squared norm is one sum per tensor (``np.add.reduce``, which is what
+    ``np.sum`` runs), added in tensor order, so it rounds exactly as a
+    per-tensor loop does; one sum over the whole arena would pair the terms
+    differently.
     """
+    sq = module.flat_grad * module.flat_grad
     total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad * p.grad))
+    for start, stop in module.tensor_bounds:
+        total += float(np.add.reduce(sq[start:stop]))
     norm = float(np.sqrt(total))
     if norm > max_norm > 0.0:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            p.grad *= scale
+        module.flat_grad *= max_norm / (norm + 1e-12)
     return norm
 
 
 class Optimizer:
-    """Base: step over a fixed parameter list."""
+    """Base: step over one module's parameter arena."""
 
-    def __init__(self, params: List[Parameter], lr: float) -> None:
+    def __init__(self, module: Module, lr: float) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        self.params = list(params)
+        self.module = module
         self.lr = float(lr)
 
     def step(self) -> None:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.module.zero_grad()
 
     # ------------------------------------------------------------- persistence
 
     def state_dict(self) -> Dict:
         """Snapshot of the optimizer's slot state (momentum, moments, ...).
 
-        Slots are stored positionally (aligned with ``self.params``), since
-        the ``id()`` keys used internally do not survive a process restart.
+        Slots are stored positionally, one array per parameter tensor in
+        ``module.parameters()`` order (``None`` before the first step).
         """
         raise NotImplementedError
 
     def load_state_dict(self, state: Dict) -> None:
         raise NotImplementedError
 
-    def _check_slots(self, slots: List) -> None:
-        if len(slots) != len(self.params):
+    def _split(self, slot: Optional[np.ndarray]) -> List[Optional[np.ndarray]]:
+        """A slot array as per-tensor copies (the on-disk layout)."""
+        params = self.module.parameters()
+        if slot is None:
+            return [None] * len(params)
+        return [
+            slot[start:stop].reshape(p.data.shape).copy()
+            for p, (start, stop) in zip(params, self.module.tensor_bounds)
+        ]
+
+    def _join(self, slots: List) -> Optional[np.ndarray]:
+        """Per-tensor slots back into one slot array (missing ones are zero)."""
+        bounds = self.module.tensor_bounds
+        if len(slots) != len(bounds):
             raise ValueError(
                 f"optimizer snapshot has {len(slots)} parameter slots, "
-                f"this optimizer has {len(self.params)}"
+                f"this optimizer has {len(bounds)}"
             )
+        if all(s is None for s in slots):
+            return None
+        out = np.zeros(self.module.flat_data.size)
+        for s, (start, stop) in zip(slots, bounds):
+            if s is None:
+                continue
+            s = np.asarray(s, dtype=np.float64)
+            if s.size != stop - start:
+                raise ValueError(
+                    f"optimizer slot has {s.size} values, its tensor {stop - start}"
+                )
+            out[start:stop] = s.ravel()
+        return out
 
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum."""
 
-    def __init__(
-        self, params: List[Parameter], lr: float = 1e-2, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
+    def __init__(self, module: Module, lr: float = 1e-2, momentum: float = 0.0) -> None:
+        super().__init__(module, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
-        self._vel: Dict[int, np.ndarray] = {}
+        self._vel: Optional[np.ndarray] = None
 
     def step(self) -> None:
-        for p in self.params:
-            if self.momentum > 0.0:
-                v = self._vel.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                    self._vel[id(p)] = v
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.data += v
-            else:
-                p.data -= self.lr * p.grad
+        data, grad = self.module.flat_data, self.module.flat_grad
+        if self.momentum > 0.0:
+            if self._vel is None:
+                self._vel = np.zeros_like(data)
+            v = self._vel
+            v *= self.momentum
+            v -= self.lr * grad
+            data += v
+        else:
+            data -= self.lr * grad
 
     def state_dict(self) -> Dict:
         return {
             "lr": self.lr,
             "momentum": self.momentum,
-            "velocity": [
-                None if (v := self._vel.get(id(p))) is None else v.copy()
-                for p in self.params
-            ],
+            "velocity": self._split(self._vel),
         }
 
     def load_state_dict(self, state: Dict) -> None:
-        self._check_slots(state["velocity"])
+        vel = self._join(state["velocity"])
         self.lr = float(state["lr"])
         self.momentum = float(state["momentum"])
-        self._vel = {
-            id(p): np.array(v, dtype=np.float64)
-            for p, v in zip(self.params, state["velocity"])
-            if v is not None
-        }
+        self._vel = vel
 
 
 class Adam(Optimizer):
@@ -119,13 +144,13 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        params: List[Parameter],
+        module: Module,
         lr: float = 1e-3,
         betas: Tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr)
+        super().__init__(module, lr)
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
@@ -133,29 +158,24 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.b1**self.t
         b2t = 1.0 - self.b2**self.t
-        for p in self.params:
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self._m.get(id(p))
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-                self._m[id(p)], self._v[id(p)] = m, v
-            else:
-                v = self._v[id(p)]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        data, g = self.module.flat_data, self.module.flat_grad
+        if self.weight_decay:
+            g = g + self.weight_decay * data
+        if self._m is None:
+            self._m, self._v = np.zeros_like(data), np.zeros_like(data)
+        m, v = self._m, self._v
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        v += (1.0 - self.b2) * g * g
+        data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
     def state_dict(self) -> Dict:
         return {
@@ -164,31 +184,15 @@ class Adam(Optimizer):
             "eps": self.eps,
             "weight_decay": self.weight_decay,
             "t": self.t,
-            "m": [
-                None if (m := self._m.get(id(p))) is None else m.copy()
-                for p in self.params
-            ],
-            "v": [
-                None if (v := self._v.get(id(p))) is None else v.copy()
-                for p in self.params
-            ],
+            "m": self._split(self._m),
+            "v": self._split(self._v),
         }
 
     def load_state_dict(self, state: Dict) -> None:
-        self._check_slots(state["m"])
-        self._check_slots(state["v"])
+        m, v = self._join(state["m"]), self._join(state["v"])
         self.lr = float(state["lr"])
         self.b1, self.b2 = (float(b) for b in state["betas"])
         self.eps = float(state["eps"])
         self.weight_decay = float(state["weight_decay"])
         self.t = int(state["t"])
-        self._m = {
-            id(p): np.array(m, dtype=np.float64)
-            for p, m in zip(self.params, state["m"])
-            if m is not None
-        }
-        self._v = {
-            id(p): np.array(v, dtype=np.float64)
-            for p, v in zip(self.params, state["v"])
-            if v is not None
-        }
+        self._m, self._v = m, v

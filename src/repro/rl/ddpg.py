@@ -88,8 +88,8 @@ class DdpgAgent:
             config.state_dim, config.action_dim, crng, config.critic_hidden
         )
         self.critic_target.copy_from(self.critic)
-        self.actor_opt = Adam(self.actor.parameters(), lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=config.critic_lr)
+        self.actor_opt = Adam(self.actor, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic, lr=config.critic_lr)
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, config.action_dim)
         self.noise = GaussianNoise(
             config.action_dim,
@@ -166,7 +166,7 @@ class DdpgAgent:
             return None
         self.critic.zero_grad()
         self.critic.backward(grad)
-        clip_grad_norm(self.critic.parameters(), cfg.grad_clip)
+        clip_grad_norm(self.critic, cfg.grad_clip)
         self.critic_opt.step()
 
         # ---- actor: maximize Q(s, pi(s)) --------------------------------------
@@ -179,7 +179,7 @@ class DdpgAgent:
         self.actor.zero_grad()
         # d(-mean Q)/d pi = -dQ/da / batch
         self.actor.backward(-dq_da / cfg.batch_size)
-        clip_grad_norm(self.actor.parameters(), cfg.grad_clip)
+        clip_grad_norm(self.actor, cfg.grad_clip)
         self.actor_opt.step()
 
         # ---- targets ----------------------------------------------------------

@@ -137,8 +137,8 @@ class SacAgent:
         self.critic = TwinCritic(config.state_dim, config.action_dim, rng, ch)
         self.critic_target = TwinCritic(config.state_dim, config.action_dim, rng, ch)
         self.critic_target.copy_from(self.critic)
-        self.actor_opt = Adam(self.policy.parameters(), lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=config.critic_lr)
+        self.actor_opt = Adam(self.policy, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic, lr=config.critic_lr)
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, config.action_dim)
         self.updates = 0
         #: Minibatches abandoned because the batch or its losses were
@@ -192,7 +192,7 @@ class SacAgent:
             return None
         for qnet, grad in grads:
             qnet.backward(grad)
-        clip_grad_norm(self.critic.parameters(), cfg.grad_clip)
+        clip_grad_norm(self.critic, cfg.grad_clip)
         self.critic_opt.step()
 
         # ---- actor: minimise E[alpha log pi - min Q(s, a_pi)] ----------------
@@ -229,7 +229,7 @@ class SacAgent:
         # Re-run forward so layer caches match the sampled batch.
         self.policy.forward(s)
         self.policy.backward(grad_out)
-        clip_grad_norm(self.policy.parameters(), cfg.grad_clip)
+        clip_grad_norm(self.policy, cfg.grad_clip)
         self.actor_opt.step()
 
         # ---- targets ----------------------------------------------------------

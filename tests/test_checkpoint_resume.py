@@ -35,6 +35,7 @@ from repro.rl.td3 import Td3Agent, Td3Config
 from repro.sim import RngRegistry
 from repro.workload import constant_trace
 
+from .nn_reference import ParamList
 from .test_checkpoint_manager import assert_tree_equal
 
 
@@ -107,13 +108,13 @@ class TestOptimizerRoundTrip:
     )
     def test_resumed_optimizer_matches_uninterrupted(self, make):
         p1, p2 = self._params(), self._params()
-        o1, o2 = make(p1), make(p2)
+        o1, o2 = make(ParamList(p1)), make(ParamList(p2))
         self._steps(o1, p1, 5)
         self._steps(o2, p2, 5)
         snap = o1.state_dict()
         # fresh params at o1's values, fresh optimizer restored from snapshot
         p3 = [Parameter(p.data.copy()) for p in p1]
-        o3 = make(p3)
+        o3 = make(ParamList(p3))
         o3.load_state_dict(snap)
         self._steps(o1, p1, 5, seed=2)
         self._steps(o3, p3, 5, seed=2)
@@ -124,18 +125,18 @@ class TestOptimizerRoundTrip:
 
     def test_slot_count_mismatch_raises(self):
         ps = self._params()
-        opt = Adam(ps, lr=0.01)
+        opt = Adam(ParamList(ps), lr=0.01)
         self._steps(opt, ps, 1)
         snap = opt.state_dict()
-        other = Adam([Parameter(np.zeros((2, 2)))], lr=0.01)
+        other = Adam(ParamList([Parameter(np.zeros((2, 2)))]), lr=0.01)
         with pytest.raises(ValueError, match="slots"):
             other.load_state_dict(snap)
 
     def test_adam_restores_time_step(self):
         ps = self._params()
-        opt = Adam(ps, lr=0.01)
+        opt = Adam(ParamList(ps), lr=0.01)
         self._steps(opt, ps, 7)
-        other = Adam(self._params(), lr=0.01)
+        other = Adam(ParamList(self._params()), lr=0.01)
         other.load_state_dict(opt.state_dict())
         assert other.t == 7
 

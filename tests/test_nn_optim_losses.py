@@ -1,7 +1,5 @@
 """Tests for optimizers, losses and serialization."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from repro.nn import (
     save_module,
     save_modules,
 )
+
+from .nn_reference import ParamList
 
 
 class TestLosses:
@@ -85,7 +85,7 @@ class TestOptimizers:
 
     def test_sgd_converges(self):
         p, target, step = self._quadratic_problem()
-        opt = SGD([p], lr=0.1)
+        opt = SGD(ParamList([p]), lr=0.1)
         for _ in range(200):
             step()
             opt.step()
@@ -93,7 +93,7 @@ class TestOptimizers:
 
     def test_sgd_momentum_converges(self):
         p, target, step = self._quadratic_problem()
-        opt = SGD([p], lr=0.05, momentum=0.9)
+        opt = SGD(ParamList([p]), lr=0.05, momentum=0.9)
         for _ in range(200):
             step()
             opt.step()
@@ -101,7 +101,7 @@ class TestOptimizers:
 
     def test_adam_converges(self):
         p, target, step = self._quadratic_problem()
-        opt = Adam([p], lr=0.1)
+        opt = Adam(ParamList([p]), lr=0.1)
         for _ in range(400):
             step()
             opt.step()
@@ -109,7 +109,7 @@ class TestOptimizers:
 
     def test_adam_weight_decay_shrinks_solution(self):
         p1, target, step1 = self._quadratic_problem()
-        opt = Adam([p1], lr=0.1, weight_decay=1.0)
+        opt = Adam(ParamList([p1]), lr=0.1, weight_decay=1.0)
         for _ in range(400):
             step1()
             opt.step()
@@ -117,7 +117,7 @@ class TestOptimizers:
 
     def test_zero_grad(self):
         p, _, step = self._quadratic_problem()
-        opt = Adam([p])
+        opt = Adam(ParamList([p]))
         step()
         opt.zero_grad()
         assert np.allclose(p.grad, 0.0)
@@ -125,23 +125,23 @@ class TestOptimizers:
     def test_lr_validation(self):
         p = Parameter(np.zeros(1))
         with pytest.raises(ValueError):
-            SGD([p], lr=0.0)
+            SGD(ParamList([p]), lr=0.0)
         with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.0)
+            SGD(ParamList([p]), lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
-            Adam([p], lr=0.1, betas=(1.0, 0.9))
+            Adam(ParamList([p]), lr=0.1, betas=(1.0, 0.9))
 
     def test_clip_grad_norm(self):
         p = Parameter(np.zeros(4))
         p.grad[...] = np.array([3.0, 4.0, 0.0, 0.0])  # norm 5
-        pre = clip_grad_norm([p], max_norm=1.0)
+        pre = clip_grad_norm(ParamList([p]), max_norm=1.0)
         assert pre == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_clip_grad_norm_noop_below_max(self):
         p = Parameter(np.zeros(2))
         p.grad[...] = np.array([0.3, 0.4])
-        clip_grad_norm([p], max_norm=10.0)
+        clip_grad_norm(ParamList([p]), max_norm=10.0)
         assert np.allclose(p.grad, [0.3, 0.4])
 
 
